@@ -16,15 +16,17 @@
 //! evaluated against an immutable snapshot of round-start loads — which is
 //! exactly the engine's round shape, so [`ContinuousDiffusion`] is a thin
 //! [`Protocol`]: its kernel is one summation in CSR neighbour order over
-//! the divisors `4·max(dᵢ, dⱼ)` precomputed per CSR slot at construction
-//! (see [`dlb_graphs::weights`]). Serial and parallel execution are
-//! bit-identical by the engine's contract, and the precomputed divisors
-//! are bit-identical to the historical on-the-fly computation (pinned by
-//! golden fixtures in the workspace test-suite).
+//! the divisors `4·max(dᵢ, dⱼ)`, decided at construction as one uniform
+//! value on a regular graph or tables precomputed per CSR slot otherwise
+//! (see [`Divisors`] and [`dlb_graphs::weights`]). Serial and parallel
+//! execution are bit-identical by the engine's contract, and the
+//! precomputed divisors are bit-identical to the historical on-the-fly
+//! computation (pinned by golden fixtures in the workspace test-suite).
 
 use crate::engine::{FlowTally, Protocol, StatsCtx};
+use crate::kernels::{exact_reciprocal, gather_node, Divisors};
 use crate::model::RoundStats;
-use dlb_graphs::{weights, Graph};
+use dlb_graphs::Graph;
 
 /// Per-edge flow divisor `4·max(dᵢ, dⱼ)` of Algorithm 1.
 #[inline]
@@ -53,29 +55,28 @@ pub fn node_new_load(g: &Graph, snapshot: &[f64], v: u32) -> f64 {
     acc
 }
 
-/// Shared gather kernel over CSR-slot-aligned precomputed divisors
-/// (bit-identical to [`node_new_load`] because the divisor values are
-/// equal and the operation order is unchanged). One instantiation of the
-/// generic [`crate::kernels::gather_node`] loop — the discrete twin in
-/// [`crate::discrete`] is the `i64` instantiation of the same code.
-#[inline]
-pub(crate) fn gather_precomputed(g: &Graph, slot_div: &[f64], snapshot: &[f64], v: u32) -> f64 {
-    crate::kernels::gather_node(g, slot_div, snapshot, v)
-}
-
 /// Per-round flow statistics over edge-list-aligned precomputed divisors,
 /// reduced in blocked order through `ctx` (pool-parallel when available).
+/// A uniform power-of-two divisor multiplies by its exact reciprocal,
+/// bit-identical to dividing (see [`crate::kernels`]).
 pub(crate) fn flow_tally_precomputed(
     g: &Graph,
-    edge_div: &[f64],
+    edge_div: &Divisors<f64>,
     snapshot: &[f64],
     ctx: &StatsCtx<'_>,
 ) -> FlowTally {
     let edges = g.edges();
-    ctx.flow_tally(edges.len(), |k| {
+    let diff = |k: usize| {
         let (u, v) = edges[k];
-        (snapshot[u as usize] - snapshot[v as usize]).abs() / edge_div[k]
-    })
+        (snapshot[u as usize] - snapshot[v as usize]).abs()
+    };
+    match edge_div {
+        Divisors::Table(t) => ctx.flow_tally(edges.len(), |k| diff(k) / t[k]),
+        &Divisors::Uniform(c) => match exact_reciprocal(c) {
+            Some(r) => ctx.flow_tally(edges.len(), |k| diff(k) * r),
+            None => ctx.flow_tally(edges.len(), |k| diff(k) / c),
+        },
+    }
 }
 
 /// Continuous Algorithm 1 on a fixed network.
@@ -85,19 +86,22 @@ pub(crate) fn flow_tally_precomputed(
 #[derive(Debug)]
 pub struct ContinuousDiffusion<'g> {
     g: &'g Graph,
-    /// CSR-slot-aligned divisors `4·max(dᵢ, dⱼ)`.
-    slot_div: Vec<f64>,
+    /// CSR-slot-aligned divisors `4·max(dᵢ, dⱼ)` (one value on a regular
+    /// graph).
+    slot_div: Divisors<f64>,
     /// Edge-list-aligned divisors for the statistics sweep.
-    edge_div: Vec<f64>,
+    edge_div: Divisors<f64>,
 }
 
 impl<'g> ContinuousDiffusion<'g> {
-    /// Creates the protocol for `g`, precomputing the edge divisors.
+    /// Creates the protocol for `g`, precomputing the edge divisors (one
+    /// uniform value when `g` is regular).
     pub fn new(g: &'g Graph) -> Self {
+        let (slot_div, edge_div) = Divisors::of_graph(g, 4.0);
         ContinuousDiffusion {
             g,
-            slot_div: weights::csr_divisors(g, 4.0),
-            edge_div: weights::edge_divisors(g, 4.0),
+            slot_div,
+            edge_div,
         }
     }
 
@@ -127,7 +131,7 @@ impl Protocol for ContinuousDiffusion<'_> {
 
     #[inline]
     fn node_new_load(&self, snapshot: &[f64], v: u32) -> f64 {
-        gather_precomputed(self.g, &self.slot_div, snapshot, v)
+        gather_node(self.g, &self.slot_div, snapshot, v)
     }
 
     fn compute_stats(
@@ -164,8 +168,8 @@ impl Protocol for ContinuousDiffusion<'_> {
 pub struct GeneralizedDiffusion<'g> {
     g: &'g Graph,
     factor: f64,
-    slot_div: Vec<f64>,
-    edge_div: Vec<f64>,
+    slot_div: Divisors<f64>,
+    edge_div: Divisors<f64>,
 }
 
 impl<'g> GeneralizedDiffusion<'g> {
@@ -175,11 +179,12 @@ impl<'g> GeneralizedDiffusion<'g> {
             factor > 0.0 && factor.is_finite(),
             "divisor factor must be positive"
         );
+        let (slot_div, edge_div) = Divisors::of_graph(g, factor);
         GeneralizedDiffusion {
             g,
             factor,
-            slot_div: weights::csr_divisors(g, factor),
-            edge_div: weights::edge_divisors(g, factor),
+            slot_div,
+            edge_div,
         }
     }
 
@@ -209,7 +214,7 @@ impl Protocol for GeneralizedDiffusion<'_> {
 
     #[inline]
     fn node_new_load(&self, snapshot: &[f64], v: u32) -> f64 {
-        gather_precomputed(self.g, &self.slot_div, snapshot, v)
+        gather_node(self.g, &self.slot_div, snapshot, v)
     }
 
     fn compute_stats(

@@ -8,13 +8,14 @@
 //! drops geometrically while `Φ ≥ 64δ³n/λ₂`.
 //!
 //! Like the continuous protocol, the round is a *gather* over an immutable
-//! snapshot with the integer divisors `4·max(dᵢ, dⱼ)` precomputed per CSR
-//! slot; token counts are integers, so serial and parallel execution agree
+//! snapshot with the integer divisors `4·max(dᵢ, dⱼ)` precomputed (one
+//! uniform value on a regular graph, per CSR slot otherwise); token counts are integers, so serial and parallel execution agree
 //! exactly and conservation is exact.
 
 use crate::engine::{Protocol, StatsCtx, TokenTally};
+use crate::kernels::{gather_node, Divisors};
 use crate::model::DiscreteRoundStats;
-use dlb_graphs::{weights, Graph};
+use dlb_graphs::Graph;
 
 /// Tokens sent across edge `{u, v}` this round (from the richer endpoint),
 /// given round-start loads: `⌊|ℓᵤ − ℓᵥ| / (4·max(dᵤ, dᵥ))⌋`.
@@ -49,30 +50,26 @@ pub fn node_new_load(g: &Graph, snapshot: &[i64], v: u32) -> i64 {
     i64::try_from(acc).expect("load fits i64")
 }
 
-/// Shared gather kernel over CSR-slot-aligned precomputed integer divisors
-/// (exactly [`node_new_load`]: identical integer operations). One
-/// instantiation of the generic [`crate::kernels::gather_node`] loop —
-/// the continuous twin in [`crate::continuous`] is the `f64`
-/// instantiation of the same code.
-#[inline]
-pub(crate) fn gather_precomputed(g: &Graph, slot_div: &[i64], snapshot: &[i64], v: u32) -> i64 {
-    crate::kernels::gather_node(g, slot_div, snapshot, v)
-}
-
 /// Per-round token statistics over edge-list-aligned precomputed divisors,
 /// reduced in blocked order through `ctx` (pool-parallel when available).
 pub(crate) fn token_tally_precomputed(
     g: &Graph,
-    edge_div: &[i64],
+    edge_div: &Divisors<i64>,
     snapshot: &[i64],
     ctx: &StatsCtx<'_>,
 ) -> TokenTally {
     let edges = g.edges();
-    ctx.token_tally(edges.len(), |k| {
+    let diff = |k: usize| {
         let (u, v) = edges[k];
-        let diff = (snapshot[u as usize] as i128 - snapshot[v as usize] as i128).unsigned_abs();
-        (diff / edge_div[k] as u128) as u64
-    })
+        (snapshot[u as usize] as i128 - snapshot[v as usize] as i128).unsigned_abs()
+    };
+    match edge_div {
+        Divisors::Table(t) => ctx.token_tally(edges.len(), |k| (diff(k) / t[k] as u128) as u64),
+        &Divisors::Uniform(c) => {
+            let c = c as u128;
+            ctx.token_tally(edges.len(), |k| (diff(k) / c) as u64)
+        }
+    }
 }
 
 /// Discrete Algorithm 1 on a fixed network.
@@ -82,19 +79,22 @@ pub(crate) fn token_tally_precomputed(
 #[derive(Debug)]
 pub struct DiscreteDiffusion<'g> {
     g: &'g Graph,
-    /// CSR-slot-aligned integer divisors `4·max(dᵢ, dⱼ)`.
-    slot_div: Vec<i64>,
+    /// CSR-slot-aligned integer divisors `4·max(dᵢ, dⱼ)` (one value on a
+    /// regular graph).
+    slot_div: Divisors<i64>,
     /// Edge-list-aligned divisors for the statistics sweep.
-    edge_div: Vec<i64>,
+    edge_div: Divisors<i64>,
 }
 
 impl<'g> DiscreteDiffusion<'g> {
-    /// Creates the protocol for `g`, precomputing the edge divisors.
+    /// Creates the protocol for `g`, precomputing the edge divisors (one
+    /// uniform value when `g` is regular).
     pub fn new(g: &'g Graph) -> Self {
+        let (slot_div, edge_div) = Divisors::of_graph_int(g, 4);
         DiscreteDiffusion {
             g,
-            slot_div: weights::csr_divisors_int(g, 4),
-            edge_div: weights::edge_divisors_int(g, 4),
+            slot_div,
+            edge_div,
         }
     }
 
@@ -124,7 +124,7 @@ impl Protocol for DiscreteDiffusion<'_> {
 
     #[inline]
     fn node_new_load(&self, snapshot: &[i64], v: u32) -> i64 {
-        gather_precomputed(self.g, &self.slot_div, snapshot, v)
+        gather_node(self.g, &self.slot_div, snapshot, v)
     }
 
     fn compute_stats(

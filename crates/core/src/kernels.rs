@@ -10,7 +10,9 @@
 //!   per-neighbour quotient, ordered accumulate) instantiated once for
 //!   `f64` and once for `i64`, so specialized kernels are written once;
 //! * [`GatherSpec`] — what a protocol exposes to opt into dispatch: its
-//!   graph plus the CSR-slot-aligned divisor table;
+//!   graph plus its per-slot [`Divisors`], decided once at construction:
+//!   one value `k·d` when every degree equals `d`, the table of
+//!   [`dlb_graphs::weights`] otherwise;
 //! * [`KernelKind`] — the runtime-selectable kernel flavour (`scalar`,
 //!   `unrolled`, `simd`), overridable via the `DLB_KERNEL` environment
 //!   variable;
@@ -32,8 +34,36 @@
 //! the accumulation always runs sequentially in CSR neighbour order, the
 //! same order as the scalar reference. Only the order-free work
 //! vectorizes; the order-sensitive reduction never does.
+//!
+//! ### Uniform divisors
+//!
+//! On a `d`-regular graph every slot's divisor is the same `k·d`, so
+//! [`Divisors::of_graph`] builds no table and the tile kernels pick their
+//! divisor source once per gather call instead of loading one divisor per
+//! slot:
+//!
+//! * **table** — any graph with unequal degrees: load `div[slot]` (the
+//!   historical path, unchanged);
+//! * **broadcast** — uniform divisor without an exact reciprocal (the
+//!   hypercube's 80, every integer token divisor): divide by the constant.
+//!   Same operands, same division, same bits;
+//! * **reciprocal** — uniform `f64` divisor `2ᵏ` whose reciprocal `2⁻ᵏ` is
+//!   a normal number (the torus: 16). Multiply by `2⁻ᵏ` instead of
+//!   dividing. For every `x`, `x/2ᵏ` and `x·2⁻ᵏ` denote the same real
+//!   number, and both operations round that real number correctly under
+//!   the same rounding mode (gradual underflow included), so they return
+//!   the same bits; `±0`, `±∞` and NaN pass through both alike.
+//!   [`exact_reciprocal`] accepts exactly these divisors.
+//!
+//! [`KernelKind::Scalar`] (`gather_node`) and every protocol's
+//! `node_new_load` stay the division-based reference the other paths are
+//! tested against.
+//!
+//! perfbench's `kernels.bytes_per_round_computed` is a fixed formula that
+//! still counts an 8-byte divisor per slot, so the saving shows in
+//! `kernels.ns_per_edge` and `phase.gather-interior_ms_per_round`.
 
-use dlb_graphs::{GatherPlan, Graph};
+use dlb_graphs::{weights, GatherPlan, Graph};
 
 /// Nodes per dispatch tile. At 8 bytes per load this keeps a tile's
 /// output window (32 KiB) plus its divisor/neighbour stream comfortably
@@ -143,6 +173,15 @@ pub trait DiffusionLoad: Copy + Send + Sync + 'static {
     /// callers must apply quotients in CSR neighbour order.
     fn accumulate(acc: Self::Acc, q: Self::Acc) -> Self::Acc;
 
+    /// `Some(r)` when `(ℓᵤ − ℓᵥ)·r` is bit-identical to
+    /// [`DiffusionLoad::quotient`] by `div` for every input (see
+    /// [`exact_reciprocal`]); `None` keeps the division.
+    fn exact_reciprocal(div: Self) -> Option<Self>;
+
+    /// The quotient as a product `(ℓᵤ − ℓᵥ)·r`, for an `r` returned by
+    /// [`DiffusionLoad::exact_reciprocal`].
+    fn scaled(lv: Self, lu: Self, recip: Self) -> Self::Acc;
+
     /// `D` independent quotients at once. The default is a plain per-lane
     /// loop over arrays — the `chunks_exact`-shaped form LLVM
     /// autovectorizes — and implementations must keep it semantically
@@ -188,6 +227,16 @@ impl DiffusionLoad for f64 {
     #[inline]
     fn accumulate(acc: f64, q: f64) -> f64 {
         acc + q
+    }
+
+    #[inline]
+    fn exact_reciprocal(div: f64) -> Option<f64> {
+        exact_reciprocal(div)
+    }
+
+    #[inline]
+    fn scaled(lv: f64, lu: f64, recip: f64) -> f64 {
+        (lu - lv) * recip
     }
 
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -246,11 +295,83 @@ impl DiffusionLoad for i64 {
     fn accumulate(acc: i128, q: i128) -> i128 {
         acc + q
     }
+
+    /// Token quotients are floor divisions; they always divide.
+    #[inline]
+    fn exact_reciprocal(_div: i64) -> Option<i64> {
+        None
+    }
+
+    fn scaled(_lv: i64, _lu: i64, _recip: i64) -> i128 {
+        unreachable!("integer divisors have no exact reciprocal")
+    }
+}
+
+/// `Some(1/div)` exactly when `div` is a positive power of two `2ᵏ` whose
+/// reciprocal `2⁻ᵏ` is a normal number. For such a divisor `x·2⁻ᵏ` and
+/// `x/2ᵏ` are correctly rounded results of the same real number, hence
+/// bit-identical for every `x` (see the module docs). Every other
+/// divisor — 80, 3, subnormals, zero, infinities, NaN — returns `None`.
+pub fn exact_reciprocal(div: f64) -> Option<f64> {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let recip = 1.0 / div;
+    (div > 0.0 && div.is_normal() && div.to_bits() & MANTISSA == 0 && recip.is_normal())
+        .then_some(recip)
+}
+
+/// A protocol's divisors `k·max(dᵢ, dⱼ)` along one alignment — the CSR
+/// slots (in a [`GatherSpec`]) or [`Graph::edges`] (in the statistics
+/// sweeps): one value shared by every entry, or a table.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Divisors<L> {
+    /// Every entry divides by this value (a regular graph's `k·d`); no
+    /// table is built.
+    Uniform(L),
+    /// One divisor per entry.
+    Table(Vec<L>),
+}
+
+impl<L: Copy> Divisors<L> {
+    /// The divisor at index `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> L {
+        match self {
+            Divisors::Uniform(c) => *c,
+            Divisors::Table(t) => t[i],
+        }
+    }
+}
+
+impl Divisors<f64> {
+    /// The CSR-slot-aligned and edge-list-aligned divisors `k·max(dᵢ, dⱼ)`
+    /// of `g`: one uniform value each when every degree is equal, the
+    /// tables of [`dlb_graphs::weights`] otherwise.
+    pub fn of_graph(g: &Graph, k: f64) -> (Self, Self) {
+        match weights::uniform_divisor(g, k) {
+            Some(c) => (Divisors::Uniform(c), Divisors::Uniform(c)),
+            None => (
+                Divisors::Table(weights::csr_divisors(g, k)),
+                Divisors::Table(weights::edge_divisors(g, k)),
+            ),
+        }
+    }
+}
+
+impl Divisors<i64> {
+    /// Integer twin of [`Divisors::of_graph`], for the token kernels.
+    pub fn of_graph_int(g: &Graph, k: u32) -> (Self, Self) {
+        match weights::uniform_divisor_int(g, k) {
+            Some(c) => (Divisors::Uniform(c), Divisors::Uniform(c)),
+            None => (
+                Divisors::Table(weights::csr_divisors_int(g, k)),
+                Divisors::Table(weights::edge_divisors_int(g, k)),
+            ),
+        }
+    }
 }
 
 /// What a protocol exposes to opt into kernel dispatch: the fixed graph
-/// its gather walks and the CSR-slot-aligned divisor table
-/// (`4·max(dᵥ, dᵤ)` per slot, from [`dlb_graphs::weights`]).
+/// its gather walks and its per-slot divisors `4·max(dᵥ, dᵤ)`.
 ///
 /// Protocols whose per-node update is *not* the canonical
 /// quotient-accumulate loop (FOS/SOS α-scaled flows, capacity-weighted
@@ -261,19 +382,21 @@ pub struct GatherSpec<'p, L> {
     /// The CSR graph the gather iterates (also the graph the engine
     /// fingerprints for plan memoization).
     pub graph: &'p Graph,
-    /// Per-neighbour-slot divisors, length [`Graph::degree_sum`], indexed
-    /// by [`Graph::neighbor_offset`]`(v) + i`.
-    pub slot_div: &'p [L],
+    /// Per-neighbour-slot divisors: one uniform value, or a table of
+    /// length [`Graph::degree_sum`] indexed by
+    /// [`Graph::neighbor_offset`]`(v) + i`.
+    pub slot_div: &'p Divisors<L>,
 }
 
-/// The one generic per-node gather: the historical `gather_precomputed`
-/// loops of `continuous.rs` / `discrete.rs`, deduplicated. This is also
-/// the [`KernelKind::Scalar`] reference every specialized kernel must
-/// match bit-for-bit.
+/// The one generic per-node gather: the `node_new_load` of continuous,
+/// generalized and discrete diffusion (`f64` and `i64` instantiations of
+/// the same loop). This is also the [`KernelKind::Scalar`] reference
+/// every specialized kernel must match bit-for-bit, and it always
+/// divides.
 #[inline]
 pub(crate) fn gather_node<L: DiffusionLoad>(
     g: &Graph,
-    slot_div: &[L],
+    slot_div: &Divisors<L>,
     snapshot: &[L],
     v: u32,
 ) -> L {
@@ -283,17 +406,95 @@ pub(crate) fn gather_node<L: DiffusionLoad>(
     for (i, &u) in g.neighbors(v).iter().enumerate() {
         acc = L::accumulate(
             acc,
-            L::quotient(lv, snapshot[u as usize], slot_div[off + i]),
+            L::quotient(lv, snapshot[u as usize], slot_div.get(off + i)),
         );
     }
     L::lower(acc)
 }
 
+/// How the tile kernels obtain each slot's quotient. Chosen once per
+/// gather call from the [`GatherSpec`]'s [`Divisors`] (see the
+/// module docs for why all three are bit-identical).
+trait Quotients<L: DiffusionLoad>: Copy {
+    /// The quotients of `D` neighbours whose slots start at `off`.
+    fn lanes<const D: usize>(self, lv: L, lus: [L; D], off: usize) -> [L::Acc; D];
+
+    /// One neighbour's quotient at `slot` (chunk remainders).
+    fn one(self, lv: L, lu: L, slot: usize) -> L::Acc;
+}
+
+/// Loads each slot's divisor from the table; `simd` selects the
+/// explicit-SIMD division lanes.
+#[derive(Clone, Copy)]
+struct TableDiv<'a, L> {
+    table: &'a [L],
+    simd: bool,
+}
+
+impl<L: DiffusionLoad> Quotients<L> for TableDiv<'_, L> {
+    #[inline(always)]
+    fn lanes<const D: usize>(self, lv: L, lus: [L; D], off: usize) -> [L::Acc; D] {
+        let window = &self.table[off..off + D];
+        let divs: [L; D] = std::array::from_fn(|i| window[i]);
+        if self.simd {
+            L::quotient_lanes_arch(lv, lus, divs)
+        } else {
+            L::quotient_lanes(lv, lus, divs)
+        }
+    }
+
+    #[inline(always)]
+    fn one(self, lv: L, lu: L, slot: usize) -> L::Acc {
+        L::quotient(lv, lu, self.table[slot])
+    }
+}
+
+/// Divides every slot by one broadcast divisor; `simd` as for
+/// [`TableDiv`].
+#[derive(Clone, Copy)]
+struct UniformDiv<L> {
+    div: L,
+    simd: bool,
+}
+
+impl<L: DiffusionLoad> Quotients<L> for UniformDiv<L> {
+    #[inline(always)]
+    fn lanes<const D: usize>(self, lv: L, lus: [L; D], _off: usize) -> [L::Acc; D] {
+        if self.simd {
+            L::quotient_lanes_arch(lv, lus, [self.div; D])
+        } else {
+            L::quotient_lanes(lv, lus, [self.div; D])
+        }
+    }
+
+    #[inline(always)]
+    fn one(self, lv: L, lu: L, _slot: usize) -> L::Acc {
+        L::quotient(lv, lu, self.div)
+    }
+}
+
+/// Multiplies every slot by the exact reciprocal of a uniform divisor.
+/// The product lanes are portable on every flavour: multiplication
+/// autovectorizes without help.
+#[derive(Clone, Copy)]
+struct UniformRecip<L>(L);
+
+impl<L: DiffusionLoad> Quotients<L> for UniformRecip<L> {
+    #[inline(always)]
+    fn lanes<const D: usize>(self, lv: L, lus: [L; D], _off: usize) -> [L::Acc; D] {
+        std::array::from_fn(|i| L::scaled(lv, lus[i], self.0))
+    }
+
+    #[inline(always)]
+    fn one(self, lv: L, lu: L, _slot: usize) -> L::Acc {
+        L::scaled(lv, lu, self.0)
+    }
+}
+
 /// Per-run slices threaded through the specialized kernels: the flat CSR
-/// adjacency and divisor arrays plus the run's stride origin.
+/// adjacency and the snapshot plus the run's stride origin.
 struct RunSlices<'a, L> {
     flat: &'a [u32],
-    divs: &'a [L],
     snapshot: &'a [L],
     /// First node of the degree run.
     start: u32,
@@ -305,8 +506,8 @@ struct RunSlices<'a, L> {
 /// Fixed-degree unrolled kernel: the whole neighbourhood is one `[_; D]`
 /// quotient-lane array, then a sequential in-order accumulation.
 #[inline]
-fn tile_fixed<L: DiffusionLoad, const D: usize, F: FnMut(u32, L)>(
-    simd: bool,
+fn tile_fixed<L: DiffusionLoad, Q: Quotients<L>, const D: usize, F: FnMut(u32, L)>(
+    q: Q,
     rs: &RunSlices<'_, L>,
     lo: u32,
     hi: u32,
@@ -317,14 +518,8 @@ fn tile_fixed<L: DiffusionLoad, const D: usize, F: FnMut(u32, L)>(
         let nbrs = &rs.flat[off..off + D];
         let lv = rs.snapshot[v as usize];
         let lus: [L; D] = std::array::from_fn(|i| rs.snapshot[nbrs[i] as usize]);
-        let divs: [L; D] = std::array::from_fn(|i| rs.divs[off + i]);
-        let q = if simd {
-            L::quotient_lanes_arch(lv, lus, divs)
-        } else {
-            L::quotient_lanes(lv, lus, divs)
-        };
         let mut acc = lv.lift();
-        for lane in q {
+        for lane in q.lanes(lv, lus, off) {
             acc = L::accumulate(acc, lane);
         }
         emit(v, L::lower(acc));
@@ -335,8 +530,8 @@ fn tile_fixed<L: DiffusionLoad, const D: usize, F: FnMut(u32, L)>(
 /// (hypercubes, cliques, star hubs): `LANES`-wide quotient blocks via
 /// `chunks_exact`, scalar remainder, accumulation still in CSR order.
 #[inline]
-fn tile_lanes<L: DiffusionLoad, F: FnMut(u32, L)>(
-    simd: bool,
+fn tile_lanes<L: DiffusionLoad, Q: Quotients<L>, F: FnMut(u32, L)>(
+    q: Q,
     rs: &RunSlices<'_, L>,
     degree: usize,
     lo: u32,
@@ -346,25 +541,19 @@ fn tile_lanes<L: DiffusionLoad, F: FnMut(u32, L)>(
     for v in lo..hi {
         let off = rs.base + (v - rs.start) as usize * degree;
         let nbrs = &rs.flat[off..off + degree];
-        let divs = &rs.divs[off..off + degree];
         let lv = rs.snapshot[v as usize];
         let mut acc = lv.lift();
-        let mut chunks_n = nbrs.chunks_exact(LANES);
-        let mut chunks_d = divs.chunks_exact(LANES);
-        for (cn, cd) in (&mut chunks_n).zip(&mut chunks_d) {
+        let mut chunks = nbrs.chunks_exact(LANES);
+        let mut slot = off;
+        for cn in &mut chunks {
             let lus: [L; LANES] = std::array::from_fn(|i| rs.snapshot[cn[i] as usize]);
-            let dv: [L; LANES] = std::array::from_fn(|i| cd[i]);
-            let q = if simd {
-                L::quotient_lanes_arch(lv, lus, dv)
-            } else {
-                L::quotient_lanes(lv, lus, dv)
-            };
-            for lane in q {
+            for lane in q.lanes(lv, lus, slot) {
                 acc = L::accumulate(acc, lane);
             }
+            slot += LANES;
         }
-        for (&u, &d) in chunks_n.remainder().iter().zip(chunks_d.remainder()) {
-            acc = L::accumulate(acc, L::quotient(lv, rs.snapshot[u as usize], d));
+        for (i, &u) in chunks.remainder().iter().enumerate() {
+            acc = L::accumulate(acc, q.one(lv, rs.snapshot[u as usize], slot + i));
         }
         emit(v, L::lower(acc));
     }
@@ -383,11 +572,13 @@ fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L)>(
     emit: &mut F,
 ) {
     debug_assert_eq!(plan.n(), spec.graph.n(), "plan built for a different graph");
-    debug_assert_eq!(
-        spec.slot_div.len(),
-        spec.graph.degree_sum(),
-        "divisor table must be CSR-slot aligned"
-    );
+    if let Divisors::Table(t) = spec.slot_div {
+        debug_assert_eq!(
+            t.len(),
+            spec.graph.degree_sum(),
+            "divisor table must be CSR-slot aligned"
+        );
+    }
     if lo >= hi {
         return;
     }
@@ -398,7 +589,31 @@ fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L)>(
         return;
     }
     let simd = kind == KernelKind::Simd;
-    let flat = spec.graph.neighbor_slots();
+    let g = spec.graph;
+    match spec.slot_div {
+        Divisors::Table(table) => {
+            walk_runs(TableDiv { table, simd }, plan, g, snapshot, lo, hi, emit)
+        }
+        &Divisors::Uniform(div) => match L::exact_reciprocal(div) {
+            Some(r) => walk_runs(UniformRecip(r), plan, g, snapshot, lo, hi, emit),
+            None => walk_runs(UniformDiv { div, simd }, plan, g, snapshot, lo, hi, emit),
+        },
+    }
+}
+
+/// The degree-run walk behind [`gather_contiguous`], monomorphized per
+/// divisor source.
+#[inline]
+fn walk_runs<L: DiffusionLoad, Q: Quotients<L>, F: FnMut(u32, L)>(
+    q: Q,
+    plan: &GatherPlan,
+    g: &Graph,
+    snapshot: &[L],
+    lo: u32,
+    hi: u32,
+    emit: &mut F,
+) {
+    let flat = g.neighbor_slots();
     let runs = plan.runs();
     let mut r = plan.run_index(lo);
     let mut v = lo;
@@ -407,7 +622,6 @@ fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L)>(
         let run_hi = hi.min(run.end);
         let rs = RunSlices {
             flat,
-            divs: spec.slot_div,
             snapshot,
             start: run.start,
             base: run.base,
@@ -424,11 +638,11 @@ fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L)>(
                         emit(w, L::lower(snapshot[w as usize].lift()));
                     }
                 }
-                2 => tile_fixed::<L, 2, _>(simd, &rs, t, te, emit),
-                3 => tile_fixed::<L, 3, _>(simd, &rs, t, te, emit),
-                4 => tile_fixed::<L, 4, _>(simd, &rs, t, te, emit),
-                8 => tile_fixed::<L, 8, _>(simd, &rs, t, te, emit),
-                d => tile_lanes(simd, &rs, d as usize, t, te, emit),
+                2 => tile_fixed::<L, Q, 2, _>(q, &rs, t, te, emit),
+                3 => tile_fixed::<L, Q, 3, _>(q, &rs, t, te, emit),
+                4 => tile_fixed::<L, Q, 4, _>(q, &rs, t, te, emit),
+                8 => tile_fixed::<L, Q, 8, _>(q, &rs, t, te, emit),
+                d => tile_lanes(q, &rs, d as usize, t, te, emit),
             }
             t = te;
         }
@@ -523,7 +737,7 @@ mod tests {
     #[test]
     fn span_matches_scalar_reference_f64() {
         for g in adversarial_graphs() {
-            let div = csr_divisors(&g, 4.0);
+            let div = Divisors::Table(csr_divisors(&g, 4.0));
             let spec = GatherSpec {
                 graph: &g,
                 slot_div: &div,
@@ -547,7 +761,7 @@ mod tests {
     #[test]
     fn span_matches_scalar_reference_i64() {
         for g in adversarial_graphs() {
-            let div = csr_divisors_int(&g, 4);
+            let div = Divisors::Table(csr_divisors_int(&g, 4));
             let spec = GatherSpec {
                 graph: &g,
                 slot_div: &div,
@@ -566,7 +780,7 @@ mod tests {
     #[test]
     fn partial_spans_respect_offsets() {
         let g = topology::torus2d(6, 6);
-        let div = csr_divisors(&g, 4.0);
+        let div = Divisors::Table(csr_divisors(&g, 4.0));
         let spec = GatherSpec {
             graph: &g,
             slot_div: &div,
@@ -587,7 +801,7 @@ mod tests {
     #[test]
     fn list_gather_detects_contiguous_segments() {
         let g = topology::star(23);
-        let div = csr_divisors(&g, 4.0);
+        let div = Divisors::Table(csr_divisors(&g, 4.0));
         let spec = GatherSpec {
             graph: &g,
             slot_div: &div,
@@ -666,6 +880,231 @@ mod tests {
             };
             assert_eq!(q, reference);
         }
+    }
+
+    /// Loads that stress the multiply-for-divide argument: signed zeros,
+    /// subnormals, infinities, NaN, magnitudes near `f64::MAX` and mixed
+    /// signs.
+    const SPECIAL: [f64; 16] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        2.2e-308,
+        -1.5e-310,
+        f64::MIN_POSITIVE,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MAX,
+        -f64::MAX,
+        0.75 * f64::MAX,
+        -0.9 * f64::MAX,
+        1.0,
+        -3.5,
+    ];
+
+    /// Ring, torus, hypercubes (unrolled d = 4, lanes d = 5) and random
+    /// d-regular graphs (unrolled d = 3, lanes d = 6 with a remainder).
+    fn regular_graphs() -> Vec<Graph> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        vec![
+            topology::cycle(13),
+            topology::torus2d(5, 6),
+            topology::hypercube(4),
+            topology::hypercube(5),
+            topology::random_regular(20, 3, &mut rng),
+            topology::random_regular(18, 6, &mut rng),
+        ]
+    }
+
+    /// Draws a load vector: a pick below `SPECIAL.len()` takes that
+    /// special value, any other pick the (mixed-sign) random magnitude.
+    fn special_loads(picks: &[(usize, f64)], n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                let (k, x) = picks[i % picks.len()];
+                SPECIAL.get(k).copied().unwrap_or(x)
+            })
+            .collect()
+    }
+
+    /// Every kernel flavour over a uniform divisor, through both batch
+    /// entry points, against the scalar reference dividing by a table
+    /// holding the same value.
+    fn assert_uniform_matches_table<L: DiffusionLoad + PartialEq + std::fmt::Debug>(
+        g: &Graph,
+        c: L,
+        snap: &[L],
+        same: impl Fn(L, L) -> bool,
+    ) {
+        let table = Divisors::Table(vec![c; g.degree_sum()]);
+        let plan = GatherPlan::build(g);
+        let reference: Vec<L> = g.nodes().map(|v| gather_node(g, &table, snap, v)).collect();
+        let spec = GatherSpec {
+            graph: g,
+            slot_div: &Divisors::Uniform(c),
+        };
+        // A shard-shaped list: two ascending runs, then a straggler.
+        let n = g.n() as u32;
+        let list: Vec<u32> = (n / 2..n).chain(1..n / 3).chain([0]).collect();
+        for kind in KernelKind::ALL {
+            let mut out = vec![c; g.n()];
+            gather_span(kind, &plan, &spec, snap, 0, &mut out);
+            for (v, (a, b)) in reference.iter().zip(&out).enumerate() {
+                assert!(
+                    same(*a, *b),
+                    "{kind:?} diverged at node {v} with divisor {c:?}: {a:?} vs {b:?}"
+                );
+            }
+            let mut got = Vec::new();
+            gather_list(kind, &plan, &spec, snap, &list, &mut |v, x| {
+                got.push((v, x))
+            });
+            for (&v, (w, x)) in list.iter().zip(&got) {
+                assert_eq!(v, *w, "{kind:?} emission order");
+                assert!(
+                    same(reference[v as usize], *x),
+                    "{kind:?} list value at {v}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn uniform_f64_matches_scalar_reference(
+            gi in 0usize..6,
+            picks in proptest::collection::vec((0usize..32, -1.0e6f64..1.0e6), 1..48),
+        ) {
+            let g = &regular_graphs()[gi];
+            let snap = special_loads(&picks, g.n());
+            // 16, 8 and 0.5 take the exact-reciprocal product; 80, 20
+            // and 3 the broadcast division.
+            for c in [16.0, 8.0, 0.5, 80.0, 20.0, 3.0] {
+                assert_eq!(exact_reciprocal(c).is_some(), [16.0, 8.0, 0.5].contains(&c));
+                assert_uniform_matches_table(g, c, &snap, |a: f64, b: f64| a.to_bits() == b.to_bits());
+            }
+        }
+
+        #[test]
+        fn uniform_i64_matches_scalar_reference(
+            gi in 0usize..6,
+            tokens in proptest::collection::vec(-1_000_000_000_000i64..1_000_000_000_000, 1..48),
+        ) {
+            let g = &regular_graphs()[gi];
+            let d = g.max_degree() as i64;
+            let snap: Vec<i64> = (0..g.n()).map(|i| tokens[i % tokens.len()]).collect();
+            // Tokens always divide, power of two or not.
+            for c in [4 * d, 5 * d, 64] {
+                assert_uniform_matches_table(g, c, &snap, |a: i64, b: i64| a == b);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn uniform_flow_tally_matches_table(
+            gi in 0usize..6,
+            picks in proptest::collection::vec((0usize..32, -1.0e6f64..1.0e6), 1..48),
+        ) {
+            use crate::continuous::flow_tally_precomputed;
+            let g = &regular_graphs()[gi];
+            let snap = special_loads(&picks, g.n());
+            let ctx = crate::engine::StatsCtx::serial();
+            // k = 4 gives 8/16 (products) on the ring and torus, 12..24
+            // (divisions) elsewhere; k = 5 always divides.
+            for k in [4.0, 5.0] {
+                let table = Divisors::Table(weights::edge_divisors(g, k));
+                let (_, uniform) = Divisors::of_graph(g, k);
+                assert!(matches!(uniform, Divisors::Uniform(_)));
+                let a = flow_tally_precomputed(g, &uniform, &snap, &ctx);
+                let b = flow_tally_precomputed(g, &table, &snap, &ctx);
+                assert_eq!(a.active, b.active, "k = {k}");
+                assert_eq!(a.total.to_bits(), b.total.to_bits(), "k = {k}");
+                assert_eq!(a.max.to_bits(), b.max.to_bits(), "k = {k}");
+            }
+        }
+
+        #[test]
+        fn uniform_token_tally_matches_table(
+            gi in 0usize..6,
+            tokens in proptest::collection::vec(-1_000_000_000_000_000i64..1_000_000_000_000_000, 1..48),
+        ) {
+            use crate::discrete::token_tally_precomputed;
+            let g = &regular_graphs()[gi];
+            let snap: Vec<i64> = (0..g.n()).map(|i| tokens[i % tokens.len()]).collect();
+            let ctx = crate::engine::StatsCtx::serial();
+            let table = Divisors::Table(weights::edge_divisors_int(g, 4));
+            let (_, uniform) = Divisors::of_graph_int(g, 4);
+            assert!(matches!(uniform, Divisors::Uniform(_)));
+            let a = token_tally_precomputed(g, &uniform, &snap, &ctx);
+            let b = token_tally_precomputed(g, &table, &snap, &ctx);
+            assert_eq!((a.active, a.total, a.max), (b.active, b.total, b.max));
+        }
+    }
+
+    #[test]
+    fn only_regular_graphs_get_a_uniform_divisor() {
+        use dlb_graphs::weights::{edge_divisors, edge_divisors_int};
+        for g in regular_graphs() {
+            let d = g.max_degree();
+            let (c, ci) = (4.0 * d as f64, 4 * d as i64);
+            assert_eq!(
+                Divisors::of_graph(&g, 4.0),
+                (Divisors::Uniform(c), Divisors::Uniform(c))
+            );
+            assert_eq!(
+                Divisors::of_graph_int(&g, 4),
+                (Divisors::Uniform(ci), Divisors::Uniform(ci))
+            );
+        }
+        // Grids with a boundary, stars and combs keep today's tables.
+        for g in [topology::grid2d(4, 5), topology::star(9), comb()] {
+            assert_eq!(
+                Divisors::of_graph(&g, 4.0),
+                (
+                    Divisors::Table(csr_divisors(&g, 4.0)),
+                    Divisors::Table(edge_divisors(&g, 4.0))
+                )
+            );
+            assert_eq!(
+                Divisors::of_graph_int(&g, 4),
+                (
+                    Divisors::Table(csr_divisors_int(&g, 4)),
+                    Divisors::Table(edge_divisors_int(&g, 4))
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn exact_reciprocal_accepts_only_powers_of_two_with_normal_reciprocals() {
+        for d in [1.0, 2.0, 4.0, 16.0, 0.5, 2f64.powi(-1022), 2f64.powi(1022)] {
+            let r = exact_reciprocal(d).expect("power of two");
+            assert_eq!(r * d, 1.0);
+            assert!(r.is_normal());
+        }
+        // 2^1023's reciprocal 2^-1023 is subnormal.
+        let rejected = [
+            80.0,
+            3.0,
+            20.0,
+            12.0,
+            2f64.powi(1023),
+            f64::MIN_POSITIVE / 2.0,
+            5e-324,
+            0.0,
+            -0.0,
+            -16.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for d in rejected {
+            assert_eq!(exact_reciprocal(d), None, "{d:e}");
+        }
+        assert_eq!(<i64 as DiffusionLoad>::exact_reciprocal(16), None);
     }
 
     #[test]

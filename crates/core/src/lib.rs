@@ -94,6 +94,6 @@ pub use dlb_telemetry::{MetricsSnapshot, Recorder, Telemetry};
 pub use dlb_wire::Transport;
 pub use engine::{Backend, Engine, EngineError, EnginePhase, IntoEngine, Protocol, ShardMetrics};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultStats};
-pub use kernels::{DiffusionLoad, GatherSpec, KernelKind};
+pub use kernels::{DiffusionLoad, Divisors, GatherSpec, KernelKind};
 pub use model::{ContinuousBalancer, DiscreteBalancer, DiscreteRoundStats, RoundStats};
 pub use process::{run_worker, WireLoad};

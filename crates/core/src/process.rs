@@ -67,7 +67,7 @@
 //! [`ShardView::halo_groups`]: dlb_graphs::partition::ShardView::halo_groups
 
 use crate::engine::{CommMetrics, MessagePlan, PlanCache};
-use crate::kernels::{kernel_kind_cached, DiffusionLoad, GatherSpec};
+use crate::kernels::{kernel_kind_cached, DiffusionLoad, Divisors, GatherSpec};
 use dlb_graphs::partition::graph_fingerprint;
 use dlb_graphs::structure::GatherPlan;
 use dlb_graphs::Graph;
@@ -166,8 +166,8 @@ pub fn worker_binary() -> PathBuf {
     }
     panic!(
         "dlb-shard-worker binary not found next to {exe:?}; \
-         build it with `cargo build -p dlb-worker` (cargo test/bench builds \
-         it automatically at the workspace root) or point DLB_WORKER_BIN at it"
+         build it with `cargo build -p dlb-worker` (cargo builds it for the \
+         worker crate's own tests only) or point DLB_WORKER_BIN at it"
     );
 }
 
@@ -605,7 +605,12 @@ fn plan_frame_for<L: WireLoad>(
         gather_spec.map(|spec| KernelPlan {
             edges: spec.graph.edges().to_vec(),
             fingerprint: graph_fingerprint(spec.graph),
-            divisors: spec.slot_div.iter().map(|d| d.to_word()).collect(),
+            // dlb-wire/1 ships one divisor per CSR slot; a uniform
+            // divisor is expanded here and collapsed again by the worker.
+            divisors: match spec.slot_div {
+                Divisors::Uniform(c) => vec![c.to_word(); spec.graph.degree_sum()],
+                Divisors::Table(t) => t.iter().map(|d| d.to_word()).collect(),
+            },
         })
     } else {
         None
@@ -677,8 +682,8 @@ struct ShardState<L> {
     order: Vec<u32>,
     recv_groups: Vec<(u32, Vec<u32>)>,
     /// Diffusion sessions: the rebuilt graph, its gather plan, and the
-    /// typed divisor table.
-    kernel: Option<(Graph, GatherPlan, Vec<L>)>,
+    /// typed divisors.
+    kernel: Option<(Graph, GatherPlan, Divisors<L>)>,
     /// The worker's frame: a global-length vector holding owned ∪ halo
     /// values for the current round (all a shard ever sees).
     frame: Vec<L>,
@@ -701,8 +706,7 @@ impl<L: WireLoad> ShardState<L> {
                     "rebuilt graph fingerprint mismatch: plan is corrupt or versions differ"
                 );
                 let gplan = GatherPlan::build(&graph);
-                let divisors = k.divisors.iter().map(|&w| L::from_word(w)).collect();
-                Some((graph, gplan, divisors))
+                Some((graph, gplan, decode_divisors(&k.divisors)))
             }
         };
         let order: Vec<u32> = plan
@@ -719,6 +723,18 @@ impl<L: WireLoad> ShardState<L> {
             kernel,
             frame: vec![L::default(); plan.n as usize],
         })
+    }
+}
+
+/// Decodes a plan frame's per-slot divisor list, collapsing it to one
+/// uniform divisor when all its words are equal (a regular graph), so
+/// the kernels take the same uniform path as in-process backends.
+fn decode_divisors<L: WireLoad>(words: &[u64]) -> Divisors<L> {
+    match words.split_first() {
+        Some((&first, rest)) if rest.iter().all(|&w| w == first) => {
+            Divisors::Uniform(L::from_word(first))
+        }
+        _ => Divisors::Table(words.iter().map(|&w| L::from_word(w)).collect()),
     }
 }
 
@@ -800,7 +816,7 @@ fn worker_loop<L: WireLoad>(
                         (RoundMode::Diffusion, Some((graph, gplan, divisors))) => {
                             let spec = GatherSpec {
                                 graph,
-                                slot_div: divisors.as_slice(),
+                                slot_div: divisors,
                             };
                             let mut out = Vec::with_capacity(state_ref.order.len());
                             crate::kernels::gather_list(

@@ -15,8 +15,30 @@
 //! (multiplying by a precomputed reciprocal would change the last-ulp
 //! rounding whenever the divisor is not a power of two, breaking the exact
 //! golden-value equivalence the test-suite pins).
+//!
+//! On a regular graph every divisor is the same `k·d`, so the tables carry
+//! no information: [`uniform_divisor`] / [`uniform_divisor_int`] return
+//! that one value (computed with the per-slot expression) and callers can
+//! skip materializing the tables altogether.
 
 use crate::Graph;
+
+/// The one divisor `k·d` shared by every slot and edge when all degrees
+/// equal `d`, computed exactly as [`csr_divisors`] computes each slot;
+/// `None` when the degrees differ.
+pub fn uniform_divisor(g: &Graph, k: f64) -> Option<f64> {
+    assert!(k > 0.0 && k.is_finite(), "divisor factor must be positive");
+    let d = g.max_degree();
+    (g.min_degree() == d).then_some(k * d as f64)
+}
+
+/// Integer twin of [`uniform_divisor`]: `Some(k·d)` on a `d`-regular graph,
+/// computed exactly as [`csr_divisors_int`] computes each slot.
+pub fn uniform_divisor_int(g: &Graph, k: u32) -> Option<i64> {
+    assert!(k > 0, "divisor factor must be positive");
+    let d = g.max_degree();
+    (g.min_degree() == d).then_some(k as i64 * d as i64)
+}
 
 /// CSR-slot-aligned divisors `k·max(dᵢ, dⱼ)` as `f64`.
 ///
@@ -110,6 +132,26 @@ mod tests {
             let d = g.degree(u).max(g.degree(v));
             assert_eq!(w[k], 4.0 * d as f64);
             assert_eq!(wi[k], 4 * d as i64);
+        }
+    }
+
+    #[test]
+    fn uniform_divisor_only_on_regular_graphs() {
+        for g in [
+            topology::torus2d(4, 5),
+            topology::hypercube(5),
+            topology::cycle(9),
+        ] {
+            let c = uniform_divisor(&g, 4.0).expect("regular");
+            assert!(csr_divisors(&g, 4.0).iter().all(|&d| d == c));
+            assert!(edge_divisors(&g, 4.0).iter().all(|&d| d == c));
+            let ci = uniform_divisor_int(&g, 4).expect("regular");
+            assert!(csr_divisors_int(&g, 4).iter().all(|&d| d == ci));
+            assert!(edge_divisors_int(&g, 4).iter().all(|&d| d == ci));
+        }
+        for g in [topology::star(6), topology::grid2d(3, 4), topology::path(5)] {
+            assert_eq!(uniform_divisor(&g, 4.0), None);
+            assert_eq!(uniform_divisor_int(&g, 4), None);
         }
     }
 

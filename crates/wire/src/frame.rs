@@ -150,7 +150,8 @@ pub struct KernelPlan {
     pub fingerprint: u64,
     /// Per-CSR-slot divisor bit patterns (length = graph degree sum),
     /// indexed by `neighbor_offset(v) + i` exactly like the in-process
-    /// kernels.
+    /// kernels. Always one word per slot, even for a uniform divisor; a
+    /// worker may collapse an all-equal list back to one value.
     pub divisors: Vec<u64>,
 }
 
@@ -226,8 +227,8 @@ pub enum Frame {
     },
     /// Round receipt (worker → coordinator).
     Done(DoneFrame),
-    /// Post-round owned values in plan `owned` order
-    /// (worker → coordinator).
+    /// Post-round owned values in interior ⧺ boundary order: the plan's
+    /// `interior` list, then its `boundary` list (worker → coordinator).
     Results {
         /// Plan seq the results belong to.
         seq: u64,

@@ -1,8 +1,11 @@
 //! Process-backend integration suite: shards as OS processes speaking
 //! `dlb-wire/1` over real sockets.
 //!
+//! It lives in the worker crate because cargo builds the
+//! `dlb-shard-worker` binary only for this package's integration tests.
+//!
 //! (Per-protocol serial ≡ process bit-identity lives in
-//! `engine_properties.rs`; codec round-trips and truncation at every
+//! `process_properties.rs`; codec round-trips and truncation at every
 //! byte boundary are property-tested inside `dlb-wire`. This file covers
 //! what only a live fleet can: the TCP transport, wire-level comm
 //! accounting, worker death mid-round surfacing as a *typed* engine
@@ -17,7 +20,17 @@ use dlb_core::Transport;
 use dlb_graphs::{topology, PartitionSpec};
 use dlb_wire::{read_hello, WireError, WireListener, WireStream, MAGIC};
 
+/// Points the coordinator at the worker binary cargo built for these
+/// tests. Every test that spawns workers calls this first.
+fn use_built_worker() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        std::env::set_var("DLB_WORKER_BIN", env!("CARGO_BIN_EXE_dlb-shard-worker"));
+    });
+}
+
 fn process(shards: usize, transport: Transport) -> Backend {
+    use_built_worker();
     Backend::Process {
         partition: PartitionSpec::Bfs { shards },
         transport,
@@ -263,6 +276,7 @@ fn scenario_toml_round_trips_process_backend() {
 #[test]
 fn scenario_builtin_process_runs_and_reports_wire_bytes() {
     use dlb_workloads::{Scenario, ScenarioRunner};
+    use_built_worker();
     // Trim the run: equivalence over the full trajectory is covered by
     // the CI matrix; here we only need a live fleet and its accounting.
     let sc = Scenario::builtin("bursty-torus-process")
@@ -277,4 +291,31 @@ fn scenario_builtin_process_runs_and_reports_wire_bytes() {
     let header = header.lines().next().unwrap().to_string();
     assert!(header.contains("\"comm_wire_bytes_out\""), "{header}");
     assert!(header.contains("\"comm_wire_bytes_in\""), "{header}");
+}
+
+/// The process-backed half of `dlb-workloads`' `builtins_run_and_conserve`
+/// (that crate cannot spawn the worker binary): every built-in scenario on
+/// the process backend runs to its stop condition and conserves load.
+#[test]
+fn process_builtins_run_and_conserve() {
+    use dlb_workloads::{ExecSpec, Scenario};
+    use_built_worker();
+    let mut ran = 0;
+    for name in Scenario::builtin_names() {
+        let sc = Scenario::builtin(name).unwrap();
+        if !matches!(sc.exec, ExecSpec::Process { .. }) {
+            continue;
+        }
+        let report = sc.run().expect(name);
+        assert!(report.rounds > 0, "{name}");
+        assert_eq!(report.phi_trace.len(), report.rounds + 1, "{name}");
+        assert_eq!(report.records.len(), report.rounds, "{name}");
+        assert!(
+            report.conservation_relative_error() < 1e-9,
+            "{name}: conservation error {}",
+            report.conservation_error()
+        );
+        ran += 1;
+    }
+    assert!(ran > 0, "no process-backed built-in scenario");
 }

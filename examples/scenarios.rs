@@ -48,9 +48,10 @@
 //! * `--list` — list the built-in scenarios with their exec spec.
 //!
 //! Exits non-zero if the run violates load conservation, so the example
-//! doubles as an end-to-end smoke check.
+//! doubles as an end-to-end smoke check. Any other argument (say
+//! `--stats`) exits with code 2 and lists the accepted flags.
 
-use dlb_examples::{arg_value, log_sparkline};
+use dlb_examples::{arg_value, check_flags, log_sparkline};
 use dlb_telemetry::{CommCounters, FaultCounters, MetricsSnapshot, TraceMeta};
 use dlb_workloads::{exec_spec_from_parts, ExecSpec, FaultsSpec, Scenario, ScenarioRunner};
 
@@ -133,8 +134,30 @@ fn exec_override() -> Option<ExecSpec> {
     )
 }
 
+/// Flags that take a value.
+const VALUED_FLAGS: &[&str] = &[
+    "--name",
+    "--file",
+    "--backend",
+    "--threads",
+    "--shards",
+    "--partition",
+    "--transport",
+    "--faults",
+    "--json",
+    "--trace",
+    "--trace-format",
+];
+
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &["--resident", "--print-spec", "--list"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(msg) = check_flags(&args, VALUED_FLAGS, SWITCHES) {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    }
     if args.iter().any(|a| a == "--list") {
         println!("built-in scenarios:");
         for name in Scenario::builtin_names() {

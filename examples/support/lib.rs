@@ -68,6 +68,37 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// Checks a command line against the flags a program accepts: `valued`
+/// flags consume the next argument, `switches` stand alone. Anything else
+/// is an error whose message names the offending arguments and lists
+/// every accepted flag, so a typo (or a flag another tool takes) fails
+/// loudly instead of being ignored.
+pub fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut unknown = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if !switches.contains(&arg.as_str()) {
+            unknown.push(arg.as_str());
+        }
+    }
+    if unknown.is_empty() {
+        return Ok(());
+    }
+    let valued: Vec<String> = valued.iter().map(|f| format!("{f} <value>")).collect();
+    Err(format!(
+        "unknown argument(s): {}\naccepted flags: {}",
+        unknown.join(" "),
+        valued
+            .iter()
+            .map(String::as_str)
+            .chain(switches.iter().copied())
+            .collect::<Vec<_>>()
+            .join(", ")
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,5 +137,21 @@ mod tests {
     #[test]
     fn arg_usize_default() {
         assert_eq!(arg_usize("--definitely-not-passed", 42), 42);
+    }
+
+    #[test]
+    fn check_flags_rejects_unknown_and_lists_accepted() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let (valued, switches) = (&["--name", "--json"][..], &["--list"][..]);
+        assert!(check_flags(&args(&["--name", "x", "--list"]), valued, switches).is_ok());
+        // A flag's value is never itself taken for a flag.
+        assert!(check_flags(&args(&["--json", "--list"]), valued, switches).is_ok());
+        let err = check_flags(&args(&["--name", "x", "--stats", "7"]), valued, switches)
+            .expect_err("--stats is not accepted");
+        assert!(err.contains("unknown argument(s): --stats 7"), "{err}");
+        assert!(
+            err.contains("--name <value>, --json <value>, --list"),
+            "{err}"
+        );
     }
 }
