@@ -1,6 +1,6 @@
 //! The unified round engine: one [`Protocol`] abstraction and one
 //! backend-generic executor ([`Backend::Serial`], [`Backend::Pool`],
-//! [`Backend::Sharded`], [`Backend::Message`]), shared by every balancing
+//! [`Backend::Message`], [`Backend::Process`]), shared by every balancing
 //! scheme in the workspace.
 //!
 //! ### The shape of a round (zero-copy, double-buffered)
@@ -18,15 +18,15 @@
 //!    the round-start loads by [`Protocol::node_new_load`]. This is the hot
 //!    loop, and the only step the executors differ on: the serial backend
 //!    walks `0..n`, the pool backend splits the node range into contiguous
-//!    chunks over a persistent [`WorkerPool`], the sharded backend
-//!    assigns whole graph-partition shards to persistent workers (interior
-//!    nodes first, then boundary nodes — with edge-cut/halo accounting per
-//!    round, see [`Engine::shard_metrics`]), and the message backend runs
-//!    one shard-owning worker per shard with boundary loads crossing
-//!    shards as batched messages (see [`Engine::comm_metrics`]). Because
-//!    all four evaluate the *same* kernel per node in the *same* per-node
-//!    operation order, their results are **bit-identical** — the
-//!    workspace's serial ≡ parallel ≡ sharded ≡ message invariant. The
+//!    chunks over a persistent [`WorkerPool`], and the message backend
+//!    runs one shard-owning worker per shard (interior nodes first, then
+//!    boundary nodes) with boundary loads crossing shards as batched
+//!    messages (see [`Engine::comm_metrics`] and
+//!    [`Engine::shard_metrics`]); the process backend runs the same shape
+//!    across OS processes. Because all of them evaluate the *same* kernel
+//!    per node in the *same* per-node operation order, their results are
+//!    **bit-identical** — the workspace's serial ≡ parallel ≡ message ≡
+//!    process invariant. The
 //!    shared-memory backends write into the engine's **back
 //!    buffer**, so the caller's vector doubles as the immutable snapshot:
 //!    there is *no per-round `O(n)` snapshot copy*. After the gather the
@@ -198,20 +198,19 @@ pub trait Protocol {
     }
 
     /// The graph the current round's gather is local to, if the protocol
-    /// is graph-based. The sharded backend derives its shard plan
-    /// (interior/boundary/halo sets, edge cut) from this graph; `None`
-    /// (the default) makes the sharded backend fall back to a locality-
-    /// blind contiguous range plan — still bit-identical, just without
-    /// halo accounting (e.g. random-partner schemes, whose reads are not
-    /// neighbourhood-local).
+    /// is graph-based. The message and process backends derive their
+    /// shard plan (interior/boundary/halo sets, edge cut) from this graph;
+    /// `None` (the default) makes them fall back to a locality-blind
+    /// contiguous range plan with a full exchange — still bit-identical,
+    /// just without halo locality (e.g. random-partner schemes, whose
+    /// reads are not neighbourhood-local).
     ///
     /// Returning `Some(g)` is a **locality contract**, not just a hint:
     /// [`Protocol::node_new_load`] for node `v` must read the snapshot
     /// only at `v` and `v`'s neighbours in `g`. The message backend
     /// relies on it hard — a shard worker's frame holds *only* its owned
     /// and halo values, so a kernel reading outside `{v} ∪ N(v)` would
-    /// see stale data. Protocols with wider reads must return `None`
-    /// (the message backend then runs a full exchange).
+    /// see stale data. Protocols with wider reads must return `None`.
     ///
     /// Only meaningful after [`Protocol::begin_round`] has run for the
     /// round (dynamic protocols draw their graph there).
@@ -221,7 +220,7 @@ pub trait Protocol {
 
     /// Monotone counter that changes whenever [`Protocol::current_graph`]
     /// *may* have started returning a different graph. Fixed-topology
-    /// protocols keep the default constant `0`, so the sharded backend
+    /// protocols keep the default constant `0`, so the message backend
     /// derives its plan exactly once and never re-examines the graph.
     ///
     /// Conservative over-bumping is allowed: each bump costs the backend
@@ -438,7 +437,7 @@ impl<'a> StatsCtx<'a> {
 /// scenario files, and benches can carry the choice declaratively and
 /// build the executor at the last moment.
 ///
-/// All four backends produce **bit-identical** loads, Φ traces, and
+/// All backends produce **bit-identical** loads, Φ traces, and
 /// statistics for every protocol: they evaluate the same kernel per node
 /// and reduce statistics in the same fixed block order; backends only
 /// decide *which worker* computes a node, how its input values reach it
@@ -451,17 +450,6 @@ pub enum Backend {
     /// Flat index-range chunking over a persistent [`WorkerPool`].
     Pool {
         /// Worker count (`0` = [`recommended_threads_cached`]).
-        threads: usize,
-    },
-    /// Graph-partitioned execution: one shard per [`ShardPlan`] view,
-    /// each gathered as interior-then-boundary by a persistent worker,
-    /// with per-round edge-cut/halo accounting (see
-    /// [`Engine::shard_metrics`]). Shard plans are derived from
-    /// [`Protocol::current_graph`] and memoized per distinct graph.
-    Sharded {
-        /// How the node set is partitioned into shards.
-        partition: PartitionSpec,
-        /// Worker count (`0` = auto; clamped to the shard count).
         threads: usize,
     },
     /// Message-passing execution: one long-lived worker **per shard**,
@@ -511,8 +499,8 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Stable backend name (`serial`, `pool`, `sharded`, `message`,
-    /// `process`) for reports and scenario files.
+    /// Stable backend name (`serial`, `pool`, `message`, `process`) for
+    /// reports and scenario files.
     ///
     /// ```
     /// use dlb_core::{Backend, Transport};
@@ -530,7 +518,6 @@ impl Backend {
         match self {
             Backend::Serial => "serial",
             Backend::Pool { .. } => "pool",
-            Backend::Sharded { .. } => "sharded",
             Backend::Message { .. } => "message",
             Backend::Process { .. } => "process",
         }
@@ -543,9 +530,6 @@ impl Backend {
 pub enum EnginePhase {
     /// The pool backend's chunked gather.
     Gather,
-    /// The sharded backend's per-shard job broadcast (including the
-    /// coordinator's recompute of a failed shard).
-    Broadcast,
     /// The message backend's exchange round.
     Exchange,
     /// The process backend's wire round: a worker process died (EOF /
@@ -558,7 +542,6 @@ impl std::fmt::Display for EnginePhase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             EnginePhase::Gather => "gather",
-            EnginePhase::Broadcast => "broadcast",
             EnginePhase::Exchange => "exchange",
             EnginePhase::Wire => "wire",
         })
@@ -800,81 +783,6 @@ impl WorkerPool {
             Err(failed)
         }
     }
-
-    /// Runs `job(j)` for every `j in 0..jobs` across the pool (worker `w`
-    /// takes jobs `w, w + W, w + 2W, …`) and blocks until all complete.
-    /// The sharded executor dispatches one job per shard through this.
-    ///
-    /// Unlike [`WorkerPool::gather`] the jobs produce no values — any
-    /// output happens through whatever `job` captures (the sharded gather
-    /// writes disjoint owned slots of the back buffer).
-    pub fn broadcast<F>(&self, jobs: usize, job: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if let Err(failed) = self.try_broadcast(jobs, job) {
-            panic!(
-                "engine worker panicked during broadcast (job {})",
-                failed[0]
-            );
-        }
-    }
-
-    /// Fallible form of [`WorkerPool::broadcast`]: panics are caught per
-    /// *job*, not per worker stride, so one failing job cannot take down
-    /// the rest of its worker's jobs. Returns the sorted indices of the
-    /// failed jobs; all other jobs always run to completion.
-    pub fn try_broadcast<F>(&self, jobs: usize, job: F) -> Result<(), Vec<usize>>
-    where
-        F: Fn(usize) + Sync,
-    {
-        if jobs == 0 {
-            return Ok(());
-        }
-        let workers = self.threads().min(jobs);
-        let (done_tx, done_rx) = mpsc::channel::<Vec<usize>>();
-        let mut dispatched = 0usize;
-
-        {
-            let job = &job;
-            for w in 0..workers {
-                let done = done_tx.clone();
-                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let mut failed = Vec::new();
-                    let mut j = w;
-                    while j < jobs {
-                        if catch_unwind(AssertUnwindSafe(|| job(j))).is_err() {
-                            failed.push(j);
-                        }
-                        j += workers;
-                    }
-                    let _ = done.send(failed);
-                });
-                // SAFETY: the task borrows `job` and `done`, both of which
-                // outlive it — this function blocks on `done_rx` below
-                // until every dispatched task has sent its completion
-                // message, which each task does only after its last use of
-                // the borrows. Same argument as `gather`.
-                let task: Task =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
-                self.senders[w]
-                    .send(task)
-                    .expect("engine worker exited early");
-                dispatched += 1;
-            }
-        }
-
-        let mut failed = Vec::new();
-        for _ in 0..dispatched {
-            failed.extend(done_rx.recv().expect("engine worker exited early"));
-        }
-        if failed.is_empty() {
-            Ok(())
-        } else {
-            failed.sort_unstable();
-            Err(failed)
-        }
-    }
 }
 
 impl Drop for WorkerPool {
@@ -906,7 +814,8 @@ pub struct Engine<P: Protocol> {
     /// it holds the round-start snapshot the hooks read. The caller's
     /// vector is the other half.
     back: Vec<P::Load>,
-    /// The executor strategy (serial walk, flat pool, or sharded).
+    /// The executor strategy (serial walk, flat pool, shard workers or
+    /// worker processes).
     ///
     /// The gather fn pointers inside are instantiated in the constructors
     /// — the only places that know `P: Sync` — so [`Engine::round`] needs
@@ -921,8 +830,8 @@ pub struct Engine<P: Protocol> {
     rounds_run: u64,
     /// The armed fault-injection schedule, if any. `None` keeps every
     /// backend on its exact legacy code path (no supervision polling);
-    /// `Some` — even of an empty plan — runs the sharded and message
-    /// backends supervised.
+    /// `Some` — even of an empty plan — runs the message backend
+    /// supervised.
     faults: Option<FaultPlan>,
     /// Cumulative injection/recovery counters (see
     /// [`Engine::fault_stats`]).
@@ -968,25 +877,6 @@ type GatherFn<P> = fn(
     Option<&GatherPlan>,
 ) -> Result<(), Vec<usize>>;
 
-/// Monomorphized sharded-gather entry point stored by sharded engines.
-/// The fault slice is the round's injected faults (empty when no
-/// [`FaultPlan`] is armed); errors are the failed shard indices, which
-/// the engine recomputes from the snapshot. The trailing pair is the
-/// telemetry handle (per-shard gather spans) and the round number spans
-/// are tagged with.
-type ShardedGatherFn<P> = fn(
-    &WorkerPool,
-    &P,
-    &[<P as Protocol>::Load],
-    &mut [<P as Protocol>::Load],
-    &ShardPlan,
-    KernelKind,
-    Option<&GatherPlan>,
-    &[(usize, FaultKind)],
-    &Telemetry,
-    u64,
-) -> Result<(), Vec<usize>>;
-
 fn pooled_gather<P: Protocol + Sync>(
     pool: &WorkerPool,
     protocol: &P,
@@ -1007,134 +897,8 @@ fn pooled_gather<P: Protocol + Sync>(
     }
 }
 
-/// Shared mutable output pointer for the sharded scatter-gather. Shards
-/// own pairwise-disjoint node sets covering `0..n` exactly once (a
-/// [`ShardPlan`] invariant), so concurrent workers never write the same
-/// slot.
-struct SharedOut<T>(*mut T);
-
-unsafe impl<T: Send> Sync for SharedOut<T> {}
-
-impl<T> SharedOut<T> {
-    /// The shared base pointer (a method so closures capture the whole
-    /// `Sync` wrapper rather than the raw pointer field).
-    fn base(&self) -> *mut T {
-        self.0
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sharded_gather<P: Protocol + Sync>(
-    pool: &WorkerPool,
-    protocol: &P,
-    snapshot: &[P::Load],
-    out: &mut [P::Load],
-    plan: &ShardPlan,
-    kind: KernelKind,
-    gather_plan: Option<&GatherPlan>,
-    faults: &[(usize, FaultKind)],
-    tel: &Telemetry,
-    round_no: u64,
-) -> Result<(), Vec<usize>> {
-    // A hard assert, not a debug one: the raw-pointer scatter below relies
-    // on every owned id lying inside `out`, and `current_graph()` is an
-    // overridable hook — a protocol whose graph disagrees with its `n()`
-    // must fail loudly, not corrupt the heap in release builds.
-    assert_eq!(
-        out.len(),
-        plan.n(),
-        "shard plan node count must equal the load vector length"
-    );
-    // An injected crash: the shard's gather never runs (its slots keep
-    // stale back-buffer values), exactly as if the job had panicked —
-    // the engine then recomputes the shard from the snapshot. Modeled as
-    // an aborted job rather than a real `panic!` so injection runs don't
-    // spray panic backtraces over test and bench output.
-    let injected: Vec<usize> = faults
-        .iter()
-        .filter(|(_, k)| matches!(k, FaultKind::Panic))
-        .map(|(s, _)| *s)
-        .collect();
-    let out_ptr = SharedOut(out.as_mut_ptr());
-    let views = plan.views();
-    let spec = protocol.gather_spec();
-    let outcome = pool.try_broadcast(views.len(), |s| {
-        if injected.contains(&s) {
-            return;
-        }
-        for &(shard, kind) in faults {
-            if shard == s {
-                if let FaultKind::Delay { ms } = kind {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                // Halo fault kinds are message-backend-only: the sharded
-                // backend moves no messages.
-            }
-        }
-        let view = &views[s];
-        // Interior first, then boundary: the order a message-passing
-        // backend uses (interior work overlaps the halo receive). The
-        // kernel is a pure per-node function, so the split cannot change
-        // results — the serial ≡ pool ≡ sharded bit-identity invariant.
-        match (gather_plan, &spec) {
-            (Some(gp), Some(spec)) => {
-                // Dispatchable protocol: run the planned batch gather over
-                // the shard's node lists. Contiguous owned segments (range
-                // partitions, shard interiors) hit the strided run kernels
-                // — the shard split is also the L2 blocking boundary.
-                // SAFETY (per emitted node): identical to the scalar arm
-                // below — `gather_list` emits exactly the nodes of the
-                // lists it is given, all owned by shard `s`.
-                let mut emit =
-                    |v: u32, value: P::Load| unsafe { *out_ptr.base().add(v as usize) = value };
-                let t0 = tel.start();
-                kernels::gather_list(kind, gp, spec, snapshot, view.interior(), &mut emit);
-                tel.record(s as u32, round_no, SpanPhase::GatherInterior, t0);
-                let t1 = tel.start();
-                kernels::gather_list(kind, gp, spec, snapshot, view.boundary(), &mut emit);
-                tel.record(s as u32, round_no, SpanPhase::GatherBoundary, t1);
-            }
-            _ => {
-                // Interior then boundary, as two loops so each gets its
-                // own span — same node order as the chained iteration.
-                let t0 = tel.start();
-                for &v in view.interior() {
-                    let value = protocol.node_new_load(snapshot, v);
-                    // SAFETY: `v` is owned by shard `s`; owned sets are
-                    // disjoint across shards and within `0..out.len()`, so
-                    // this write aliases no other worker's writes.
-                    unsafe { *out_ptr.base().add(v as usize) = value };
-                }
-                tel.record(s as u32, round_no, SpanPhase::GatherInterior, t0);
-                let t1 = tel.start();
-                for &v in view.boundary() {
-                    let value = protocol.node_new_load(snapshot, v);
-                    // SAFETY: identical to the interior loop above.
-                    unsafe { *out_ptr.base().add(v as usize) = value };
-                }
-                tel.record(s as u32, round_no, SpanPhase::GatherBoundary, t1);
-            }
-        }
-    });
-    let mut failed = match outcome {
-        Ok(()) => Vec::new(),
-        Err(f) => f,
-    };
-    for s in injected {
-        if !failed.contains(&s) {
-            failed.push(s);
-        }
-    }
-    if failed.is_empty() {
-        Ok(())
-    } else {
-        failed.sort_unstable();
-        Err(failed)
-    }
-}
-
-/// Per-round locality/communication metrics of the sharded backend's
-/// current plan (see [`Engine::shard_metrics`]).
+/// Per-round locality/communication metrics of the message or process
+/// backend's current plan (see [`Engine::shard_metrics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardMetrics {
     /// Shards in the current plan.
@@ -1151,7 +915,7 @@ pub struct ShardMetrics {
     pub plans_built: u64,
 }
 
-/// How many memoized shard plans a sharded or message engine keeps before
+/// How many memoized shard plans a message or process engine keeps before
 /// evicting the oldest. Periodic schedules cycle within the cache; fully
 /// random sequences (fresh graph every round) rebuild each round
 /// regardless.
@@ -1161,8 +925,8 @@ const SHARD_PLAN_CACHE: usize = 32;
 const TRIVIAL_PLAN_KEY: u64 = 0;
 
 /// Fingerprint-keyed, capped-FIFO memoization of per-graph execution
-/// plans, shared by the sharded backend (`T = ShardPlan`), the message
-/// backend (`T = Arc<MessagePlan>`), and the kernel dispatcher
+/// plans, shared by the message and process backends
+/// (`T = Arc<MessagePlan>`) and the kernel dispatcher
 /// (`T = Arc<GatherPlan>`): while the protocol's `graph_version` is
 /// unchanged the cached entry is reused without touching the graph; on a
 /// version change the graph is re-fingerprinted and either found in the
@@ -1284,36 +1048,6 @@ impl KernelState {
     }
 }
 
-struct ShardedExec<P: Protocol> {
-    pool: WorkerPool,
-    gather: ShardedGatherFn<P>,
-    spec: PartitionSpec,
-    plans: PlanCache<ShardPlan>,
-}
-
-impl<P: Protocol> std::fmt::Debug for ShardedExec<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedExec")
-            .field("spec", &self.spec)
-            .field("threads", &self.pool.threads())
-            .field("plans", &self.plans.entries.len())
-            .field("plans_built", &self.plans.built)
-            .finish()
-    }
-}
-
-impl<P: Protocol> ShardedExec<P> {
-    fn refresh_plan(&mut self, protocol: &P) {
-        let spec = self.spec;
-        self.plans
-            .refresh(protocol, |graph, n| build_shard_plan(&spec, graph, n));
-    }
-
-    fn current_plan(&self) -> &ShardPlan {
-        self.plans.current()
-    }
-}
-
 /// Per-round communication metrics of the message backend's most recent
 /// round (see [`Engine::comm_metrics`]). This is the telemetry a
 /// distributed deployment pays for real: the per-round exchange volume
@@ -1369,7 +1103,7 @@ type ExchangeIds = std::sync::Arc<Vec<u32>>;
 
 /// The exchange schedule of one message-backend plan, wrapped around the
 /// [`ShardPlan`] it was derived from and memoized per distinct graph
-/// exactly like the sharded backend's plans.
+/// in a [`PlanCache`].
 #[derive(Debug)]
 pub(crate) struct MessagePlan {
     /// The underlying shard plan: one view per shard
@@ -2728,7 +2462,6 @@ enum Exec<P: Protocol> {
         pool: WorkerPool,
         gather: GatherFn<P>,
     },
-    Sharded(Box<ShardedExec<P>>),
     Message {
         exec: Box<MessageExec<<P as Protocol>::Load>>,
         make_kernel: MessageKernelFn<P>,
@@ -2746,7 +2479,6 @@ impl<P: Protocol> Exec<P> {
         match self {
             Exec::Serial | Exec::Message { .. } | Exec::Process(_) => None,
             Exec::Pool { pool, .. } => Some(pool),
-            Exec::Sharded(sh) => Some(&sh.pool),
         }
     }
 }
@@ -2800,48 +2532,6 @@ impl<P: Protocol> Engine<P> {
                 pool: WorkerPool::new(threads),
                 gather: pooled_gather::<P>,
             },
-            kernel: KernelState::new(),
-            stats_mode: StatsMode::default(),
-            rounds_run: 0,
-            faults: None,
-            fault_stats: FaultStats::default(),
-            telemetry: Telemetry::Off,
-            resident: None,
-        }
-    }
-
-    /// Sharded executor: the node set is partitioned per `partition`, and
-    /// persistent workers gather whole shards (interior nodes first, then
-    /// boundary nodes), with per-round edge-cut/halo accounting available
-    /// through [`Engine::shard_metrics`].
-    ///
-    /// The shard plan is derived from [`Protocol::current_graph`] on the
-    /// first round and re-derived whenever [`Protocol::graph_version`]
-    /// changes (memoized per distinct graph, so dynamic sequences that
-    /// revisit graphs reuse their plans). `threads == 0` means auto; the
-    /// worker count is clamped to the shard count — with fewer workers
-    /// than shards, each worker serves several shards round-robin.
-    pub fn sharded(protocol: P, partition: PartitionSpec, threads: usize) -> Self
-    where
-        P: Sync,
-    {
-        assert!(partition.shards() >= 1, "sharded backend needs >= 1 shard");
-        let threads = if threads == 0 {
-            recommended_threads_cached()
-        } else {
-            threads
-        };
-        let n = protocol.n();
-        let threads = threads.clamp(1, partition.shards().min(n.max(1)));
-        Engine {
-            protocol,
-            back: vec![P::Load::default(); n],
-            exec: Exec::Sharded(Box::new(ShardedExec {
-                pool: WorkerPool::new(threads),
-                gather: sharded_gather::<P>,
-                spec: partition,
-                plans: PlanCache::new(),
-            })),
             kernel: KernelState::new(),
             stats_mode: StatsMode::default(),
             rounds_run: 0,
@@ -2991,9 +2681,6 @@ impl<P: Protocol> Engine<P> {
         match backend {
             Backend::Serial => Engine::serial(protocol),
             Backend::Pool { threads } => Engine::parallel(protocol, threads),
-            Backend::Sharded { partition, threads } => {
-                Engine::sharded(protocol, partition, threads)
-            }
             Backend::Message {
                 partition,
                 resident: false,
@@ -3011,8 +2698,8 @@ impl<P: Protocol> Engine<P> {
 
     /// Selects the gather kernel flavour, builder-style. The default is
     /// [`KernelKind::Unrolled`], overridable process-wide through the
-    /// `DLB_KERNEL` environment variable (`scalar` | `unrolled` | `simd`);
-    /// this call overrides both. All flavours are bit-identical — the
+    /// `DLB_KERNEL` environment variable (`scalar` | `unrolled`); this
+    /// call overrides both. Both flavours are bit-identical — the
     /// selection trades only speed.
     pub fn with_kernel(mut self, kind: KernelKind) -> Self {
         self.set_kernel(kind);
@@ -3050,15 +2737,16 @@ impl<P: Protocol> Engine<P> {
 
     /// Arms a deterministic [`FaultPlan`], builder-style.
     ///
-    /// With a plan armed — even an empty one — the sharded and message
-    /// backends run **supervised**: worker deaths are detected and
+    /// With a plan armed — even an empty one — the message backend runs
+    /// **supervised**: worker deaths are detected and
     /// recovered (respawn + re-homing from the round-start snapshot),
     /// missing halo batches are retransmitted, and injected faults fire
     /// per the plan's schedule. Recovery is exact, so an armed engine's
     /// loads stay bit-identical to an unarmed one's. Without a plan every
     /// backend takes its legacy code path unchanged — absence is
     /// zero-cost. The serial and pool backends have no shard workers to
-    /// fault, so they ignore injection (pool kernel panics still surface
+    /// fault, and the process backend's failures are real process deaths,
+    /// so they ignore injection (pool kernel panics still surface
     /// through [`Engine::try_round`] either way).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.set_faults(Some(plan));
@@ -3181,10 +2869,6 @@ impl<P: Protocol> Engine<P> {
             Exec::Pool { pool, .. } => Backend::Pool {
                 threads: pool.threads(),
             },
-            Exec::Sharded(sh) => Backend::Sharded {
-                partition: sh.spec,
-                threads: sh.pool.threads(),
-            },
             Exec::Message { exec, .. } => Backend::Message {
                 partition: exec.spec,
                 resident: exec.resident_backend,
@@ -3196,8 +2880,8 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Locality/communication metrics of the sharded, message, or
-    /// process backend's current plan: `None` for the serial and pool
+    /// Locality/communication metrics of the message or process
+    /// backend's current plan: `None` for the serial and pool
     /// backends, and before the first round (plans are derived lazily
     /// against the round's graph).
     ///
@@ -3220,16 +2904,6 @@ impl<P: Protocol> Engine<P> {
     /// ```
     pub fn shard_metrics(&self) -> Option<ShardMetrics> {
         match &self.exec {
-            Exec::Sharded(sh) if sh.plans.resolved() => {
-                let plan = sh.current_plan();
-                Some(ShardMetrics {
-                    shards: plan.views().len(),
-                    edge_cut: plan.edge_cut(),
-                    halo: plan.halo_total(),
-                    interior: plan.interior_total(),
-                    plans_built: sh.plans.built,
-                })
-            }
             Exec::Message { exec, .. } if exec.plans.resolved() => {
                 let plan = exec.plans.current();
                 Some(ShardMetrics {
@@ -3406,79 +3080,9 @@ impl<P: Protocol> Engine<P> {
                     })?;
                     tel.record(ENGINE_LANE, round_no, SpanPhase::GatherInterior, t0);
                 }
-                Exec::Sharded(sh) => {
-                    // Same post-begin_round resolution for the shard plan.
-                    let t_plan = tel.start();
-                    let built_before = sh.plans.built;
-                    sh.refresh_plan(protocol);
-                    if sh.plans.built > built_before {
-                        tel.record(ENGINE_LANE, round_no, SpanPhase::Plan, t_plan);
-                    }
-                    let sh = &**sh;
-                    let shard_plan = sh.current_plan();
-                    // Panic/Delay fire in shared-memory workers too; the
-                    // halo kinds are message-only and are skipped here.
-                    let mut shard_faults: Vec<(usize, FaultKind)> = Vec::new();
-                    if let Some(fault_plan) = faults {
-                        for event in fault_plan.events_at(round_no) {
-                            if event.shard < shard_plan.views().len()
-                                && matches!(event.kind, FaultKind::Panic | FaultKind::Delay { .. })
-                            {
-                                shard_faults.push((event.shard, event.kind));
-                                self.fault_stats.faults_injected += 1;
-                            }
-                        }
-                    }
-                    if let Err(failed) = (sh.gather)(
-                        &sh.pool,
-                        protocol,
-                        snapshot,
-                        &mut self.back,
-                        shard_plan,
-                        kind,
-                        plan.as_deref(),
-                        &shard_faults,
-                        tel,
-                        round_no,
-                    ) {
-                        let t_recover = tel.start();
-                        // Re-home every failed shard: recompute its owned
-                        // values from the snapshot in the worker's own
-                        // gather order. Injected deaths never reached the
-                        // kernel, so this is bit-identical to the lost
-                        // work; a genuine kernel panic reproduces here
-                        // and fails the round with its shard id.
-                        for &s in &failed {
-                            let view = &shard_plan.views()[s];
-                            let order: Vec<u32> = view
-                                .interior()
-                                .iter()
-                                .chain(view.boundary())
-                                .copied()
-                                .collect();
-                            let computed = catch_unwind(AssertUnwindSafe(|| {
-                                order
-                                    .iter()
-                                    .map(|&v| protocol.node_new_load(snapshot, v))
-                                    .collect::<Vec<P::Load>>()
-                            }));
-                            let values = computed.map_err(|_| EngineError {
-                                shard: s,
-                                round: round_no,
-                                phase: EnginePhase::Broadcast,
-                            })?;
-                            for (&v, value) in order.iter().zip(values) {
-                                self.back[v as usize] = value;
-                            }
-                            self.fault_stats.recoveries += 1;
-                            self.fault_stats.rehomed_values += view.owned().len() as u64;
-                        }
-                        tel.record(ENGINE_LANE, round_no, SpanPhase::FaultRecovery, t_recover);
-                    }
-                }
                 Exec::Message { exec, make_kernel } => {
-                    // Same post-begin_round plan resolution as the
-                    // sharded backend, memoized per distinct graph.
+                    // Same post-begin_round resolution for the shard plan,
+                    // memoized per distinct graph.
                     let spec = exec.spec;
                     let t_plan = tel.start();
                     let built_before = exec.plans.built;
@@ -3824,15 +3428,6 @@ pub trait IntoEngine: Protocol + Sized {
         Engine::parallel(self, threads)
     }
 
-    /// Wraps the protocol in a sharded [`Engine`] (see
-    /// [`Engine::sharded`]).
-    fn engine_sharded(self, partition: PartitionSpec, threads: usize) -> Engine<Self>
-    where
-        Self: Sync,
-    {
-        Engine::sharded(self, partition, threads)
-    }
-
     /// Wraps the protocol in a message-passing [`Engine`] (see
     /// [`Engine::message`]).
     fn engine_message(self, partition: PartitionSpec) -> Engine<Self>
@@ -4070,30 +3665,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_backend_bit_identical_without_a_graph() {
-        // Toy exposes no graph, so the sharded backend runs on the
-        // trivial range plan — results must still match the serial ones
-        // at every shard/thread combination, including shards > n.
-        let n = 131;
-        let init: Vec<f64> = (0..n).map(|i| ((i * 17 + 3) % 29) as f64 / 3.0).collect();
-        let mut serial = init.clone();
-        Engine::serial(toy(n)).rounds(&mut serial, 8);
-
-        for shards in [1usize, 2, 5, 200] {
-            for threads in [1usize, 3, 8] {
-                let mut sharded = init.clone();
-                let mut e = Engine::sharded(toy(n), PartitionSpec::Range { shards }, threads);
-                e.rounds(&mut sharded, 8);
-                assert_eq!(serial, sharded, "shards = {shards}, threads = {threads}");
-                let metrics = e.shard_metrics().expect("plan derived after a round");
-                assert_eq!(metrics.shards, shards);
-                assert_eq!(metrics.plans_built, 1, "trivial plan derived once");
-                assert_eq!(metrics.halo, 0, "graph-free protocol has no halo info");
-            }
-        }
-    }
-
     /// Toy protocol over an explicit cycle graph, so the message backend
     /// runs a real batched halo exchange instead of the full-exchange
     /// fallback.
@@ -4205,7 +3776,7 @@ mod tests {
         let mut e = Engine::serial(toy(4));
         e.round(&mut loads);
         assert!(e.comm_metrics().is_none());
-        let mut e = Engine::sharded(toy(4), PartitionSpec::Range { shards: 2 }, 1);
+        let mut e = Engine::parallel(toy(4), 2);
         e.round(&mut loads);
         assert!(e.comm_metrics().is_none());
         // And before the first message round.
@@ -4268,24 +3839,6 @@ mod tests {
         assert_eq!(err.phase, EnginePhase::Gather);
         assert_eq!(err.round, 1);
         assert!(err.to_string().contains("round 1"), "{err}");
-
-        // Sharded: the recompute reproduces the kernel panic and names
-        // the shard (node 7 lives in range shard 1 of 3 over n = 12).
-        let mut e = Engine::sharded(
-            PanickingToy { n: 12, bad: 7 },
-            PartitionSpec::Range { shards: 3 },
-            2,
-        );
-        let mut loads: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let err = e.try_round(&mut loads).unwrap_err();
-        assert_eq!(
-            err,
-            EngineError {
-                shard: 1,
-                round: 1,
-                phase: EnginePhase::Broadcast
-            }
-        );
 
         // Message: the failing worker's report carries its shard id.
         let mut e = Engine::message(
@@ -4351,31 +3904,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fault_injection_recovers_bit_identically() {
-        let n = 48;
-        let init: Vec<f64> = (0..n).map(|i| ((i * 37 + 5) % 41) as f64 / 3.0).collect();
-        let mut serial = init.clone();
-        Engine::serial(graph_toy(n)).rounds(&mut serial, 6);
-
-        // Halo kinds are message-only and must not count as injected on
-        // the sharded backend.
-        let plan = FaultPlan::new()
-            .event(2, 1, FaultKind::Panic)
-            .event(3, 2, FaultKind::Delay { ms: 5 })
-            .event(4, 0, FaultKind::DropHalo);
-        let mut faulted = init.clone();
-        let mut e =
-            Engine::sharded(graph_toy(n), PartitionSpec::Range { shards: 4 }, 2).with_faults(plan);
-        e.rounds(&mut faulted, 6);
-
-        assert_eq!(serial, faulted, "recovery must be exact");
-        let stats = e.fault_stats();
-        assert_eq!(stats.faults_injected, 2, "drop is message-only");
-        assert_eq!(stats.recoveries, 1, "one dead shard re-homed");
-        assert_eq!(stats.rehomed_values, 12);
-    }
-
-    #[test]
     fn duplicated_batches_never_leak_into_later_rounds() {
         // Regression for the stale-batch hazard: every shard duplicates
         // every halo batch on round 1; rounds 2..3 must not consume any
@@ -4408,22 +3936,12 @@ mod tests {
         let mut serial = init.clone();
         Engine::serial(graph_toy(n)).rounds(&mut serial, 5);
 
-        for backend in [
-            Backend::Sharded {
-                partition: PartitionSpec::Range { shards: 4 },
-                threads: 2,
-            },
-            Backend::Message {
-                partition: PartitionSpec::Range { shards: 4 },
-                resident: false,
-            },
-        ] {
-            let mut loads = init.clone();
-            let mut e = Engine::with_backend(graph_toy(n), backend).with_faults(FaultPlan::new());
-            e.rounds(&mut loads, 5);
-            assert_eq!(serial, loads, "{}", backend.name());
-            assert!(!e.fault_stats().any(), "{}", backend.name());
-        }
+        let mut loads = init.clone();
+        let mut e = Engine::message(graph_toy(n), PartitionSpec::Range { shards: 4 })
+            .with_faults(FaultPlan::new());
+        e.rounds(&mut loads, 5);
+        assert_eq!(serial, loads);
+        assert!(!e.fault_stats().any());
     }
 
     #[test]
@@ -4451,10 +3969,6 @@ mod tests {
         let backends = [
             Backend::Serial,
             Backend::Pool { threads: 3 },
-            Backend::Sharded {
-                partition: PartitionSpec::Range { shards: 4 },
-                threads: 2,
-            },
             Backend::Message {
                 partition: PartitionSpec::Bfs { shards: 3 },
                 resident: false,
@@ -4472,35 +3986,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_metrics_absent_off_the_sharded_backend() {
+    fn shard_metrics_absent_off_the_message_backend() {
         assert!(Engine::serial(toy(4)).shard_metrics().is_none());
         assert!(Engine::parallel(toy(4), 2).shard_metrics().is_none());
-        // And before the first round even on the sharded backend (plans
+        // And before the first round even on the message backend (plans
         // are derived lazily against the round's graph).
-        let e = Engine::sharded(toy(4), PartitionSpec::Range { shards: 2 }, 1);
+        let e = Engine::message(toy(4), PartitionSpec::Range { shards: 2 });
         assert!(e.shard_metrics().is_none());
-    }
-
-    #[test]
-    fn broadcast_covers_all_jobs_and_propagates_panics() {
-        let pool = WorkerPool::new(3);
-        let hits: Vec<std::sync::atomic::AtomicUsize> = (0..10)
-            .map(|_| std::sync::atomic::AtomicUsize::new(0))
-            .collect();
-        pool.broadcast(10, |j| {
-            hits[j].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        });
-        for (j, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(std::sync::atomic::Ordering::SeqCst), 1, "job {j}");
-        }
-        // Zero jobs is a no-op.
-        pool.broadcast(0, |_| panic!("must not run"));
-        // A panicking job propagates and the pool stays usable.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.broadcast(4, |j| assert!(j != 2, "injected failure"));
-        }));
-        assert!(result.is_err());
-        pool.broadcast(4, |_| {});
     }
 
     #[test]
@@ -4713,7 +4205,6 @@ mod tests {
         for (value, kind) in [
             ("scalar", KernelKind::Scalar),
             ("unrolled", KernelKind::Unrolled),
-            ("simd", KernelKind::Simd),
         ] {
             std::env::set_var("DLB_KERNEL", value);
             let got = KernelKind::from_env();
@@ -4727,7 +4218,7 @@ mod tests {
     #[test]
     fn dlb_kernel_invalid_values_are_rejected_loudly() {
         let _guard = ENV_LOCK.lock().unwrap();
-        for bad in ["", "SIMD", "avx", "auto", " scalar"] {
+        for bad in ["", "simd", "SIMD", "avx", "auto", " scalar"] {
             std::env::set_var("DLB_KERNEL", bad);
             let result = catch_unwind(KernelKind::from_env);
             std::env::remove_var("DLB_KERNEL");
@@ -4747,8 +4238,8 @@ mod tests {
     fn with_kernel_overrides_the_selection() {
         let mut e = Engine::serial(toy(4)).with_kernel(KernelKind::Scalar);
         assert_eq!(e.kernel(), KernelKind::Scalar);
-        e.set_kernel(KernelKind::Simd);
-        assert_eq!(e.kernel(), KernelKind::Simd);
+        e.set_kernel(KernelKind::Unrolled);
+        assert_eq!(e.kernel(), KernelKind::Unrolled);
     }
 
     #[test]

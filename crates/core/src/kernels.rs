@@ -13,9 +13,8 @@
 //!   graph plus its per-slot [`Divisors`], decided once at construction:
 //!   one value `k·d` when every degree equals `d`, the table of
 //!   [`dlb_graphs::weights`] otherwise;
-//! * [`KernelKind`] — the runtime-selectable kernel flavour (`scalar`,
-//!   `unrolled`, `simd`), overridable via the `DLB_KERNEL` environment
-//!   variable;
+//! * [`KernelKind`] — the runtime-selectable kernel flavour (`scalar` or
+//!   `unrolled`), overridable via the `DLB_KERNEL` environment variable;
 //! * the batch entry points `gather_span` / `gather_list`, which walk a
 //!   [`GatherPlan`]'s degree runs in L2-sized tiles and dispatch a
 //!   fixed-degree unrolled kernel (d = 2, 3, 4, 8), a chunked-lanes
@@ -27,9 +26,8 @@
 //! kernel produce bit-identical loads. The specialized kernels keep it by
 //! construction: each per-neighbour quotient `(ℓᵤ − ℓᵥ)/div` depends only
 //! on its own three inputs, and IEEE 754 subtraction and division are
-//! correctly rounded — computing the quotients as independent lanes
-//! (autovectorized, or explicit SSE2 behind the `simd` feature) yields
-//! exactly the bits the scalar loop computes one at a time. The
+//! correctly rounded — computing the quotients as independent
+//! (autovectorized) lanes yields exactly the bits the scalar loop computes one at a time. The
 //! **additions** are different: floating-point `+` is not associative, so
 //! the accumulation always runs sequentially in CSR neighbour order, the
 //! same order as the scalar reference. Only the order-free work
@@ -92,30 +90,24 @@ pub enum KernelKind {
     /// a chunked-lanes path for other uniform degrees. The default.
     #[default]
     Unrolled,
-    /// Same schedule as [`KernelKind::Unrolled`] with the f64 quotient
-    /// lanes computed by explicit `std::arch` SSE2 (`_mm_div_pd`) when the
-    /// `simd` cargo feature is enabled on x86_64; elsewhere it falls back
-    /// to the portable lanes and remains bit-identical.
-    Simd,
 }
 
 impl KernelKind {
     /// Every kernel flavour, for sweeps in tests and benches.
-    pub const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Unrolled, KernelKind::Simd];
+    pub const ALL: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Unrolled];
 
-    /// Stable lowercase name (`scalar` / `unrolled` / `simd`), matching
+    /// Stable lowercase name (`scalar` / `unrolled`), matching
     /// the accepted `DLB_KERNEL` values.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Unrolled => "unrolled",
-            KernelKind::Simd => "simd",
         }
     }
 
     /// Reads `DLB_KERNEL` (uncached). Unset means the default
     /// ([`KernelKind::Unrolled`]); any value other than
-    /// `scalar`/`unrolled`/`simd` panics loudly, mirroring the
+    /// `scalar`/`unrolled` panics loudly, mirroring the
     /// `DLB_THREADS` contract — a typo must never silently change which
     /// kernel CI exercises.
     pub fn from_env() -> KernelKind {
@@ -123,9 +115,8 @@ impl KernelKind {
             Ok(value) => match value.as_str() {
                 "scalar" => KernelKind::Scalar,
                 "unrolled" => KernelKind::Unrolled,
-                "simd" => KernelKind::Simd,
                 _ => panic!(
-                    "DLB_KERNEL must be \"scalar\", \"unrolled\" or \"simd\", got {value:?} \
+                    "DLB_KERNEL must be \"scalar\" or \"unrolled\", got {value:?} \
                      (unset the variable to use the default kernel)"
                 ),
             },
@@ -190,20 +181,6 @@ pub trait DiffusionLoad: Copy + Send + Sync + 'static {
     fn quotient_lanes<const D: usize>(lv: Self, lus: [Self; D], divs: [Self; D]) -> [Self::Acc; D] {
         std::array::from_fn(|i| Self::quotient(lv, lus[i], divs[i]))
     }
-
-    /// Explicit-SIMD quotient lanes. Defaults to
-    /// [`DiffusionLoad::quotient_lanes`]; `f64` overrides it with SSE2
-    /// intrinsics when the `simd` cargo feature is enabled on x86_64.
-    /// Must stay bit-identical to the portable lanes (IEEE 754 division
-    /// is correctly rounded, so hardware vector divides qualify).
-    #[inline]
-    fn quotient_lanes_arch<const D: usize>(
-        lv: Self,
-        lus: [Self; D],
-        divs: [Self; D],
-    ) -> [Self::Acc; D] {
-        Self::quotient_lanes(lv, lus, divs)
-    }
 }
 
 impl DiffusionLoad for f64 {
@@ -237,32 +214,6 @@ impl DiffusionLoad for f64 {
     #[inline]
     fn scaled(lv: f64, lu: f64, recip: f64) -> f64 {
         (lu - lv) * recip
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    fn quotient_lanes_arch<const D: usize>(lv: f64, lus: [f64; D], divs: [f64; D]) -> [f64; D] {
-        use std::arch::x86_64::{_mm_div_pd, _mm_loadu_pd, _mm_set1_pd, _mm_storeu_pd, _mm_sub_pd};
-        let mut out = [0.0f64; D];
-        // SAFETY: SSE2 is part of the x86_64 baseline (no runtime feature
-        // detection needed); the unaligned loads/stores stay within the
-        // D-element stack arrays. `_mm_sub_pd`/`_mm_div_pd` are IEEE 754
-        // correctly-rounded per lane, hence bit-identical to the scalar
-        // `(lu - lv) / div`.
-        unsafe {
-            let lvv = _mm_set1_pd(lv);
-            let mut i = 0;
-            while i + 2 <= D {
-                let lu = _mm_loadu_pd(lus.as_ptr().add(i));
-                let dv = _mm_loadu_pd(divs.as_ptr().add(i));
-                _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_div_pd(_mm_sub_pd(lu, lvv), dv));
-                i += 2;
-            }
-            if i < D {
-                out[i] = (lus[i] - lv) / divs[i];
-            }
-        }
-        out
     }
 }
 
@@ -423,59 +374,41 @@ trait Quotients<L: DiffusionLoad>: Copy {
     fn one(self, lv: L, lu: L, slot: usize) -> L::Acc;
 }
 
-/// Loads each slot's divisor from the table; `simd` selects the
-/// explicit-SIMD division lanes.
+/// Loads each slot's divisor from the table.
 #[derive(Clone, Copy)]
-struct TableDiv<'a, L> {
-    table: &'a [L],
-    simd: bool,
-}
+struct TableDiv<'a, L>(&'a [L]);
 
 impl<L: DiffusionLoad> Quotients<L> for TableDiv<'_, L> {
     #[inline(always)]
     fn lanes<const D: usize>(self, lv: L, lus: [L; D], off: usize) -> [L::Acc; D] {
-        let window = &self.table[off..off + D];
+        let window = &self.0[off..off + D];
         let divs: [L; D] = std::array::from_fn(|i| window[i]);
-        if self.simd {
-            L::quotient_lanes_arch(lv, lus, divs)
-        } else {
-            L::quotient_lanes(lv, lus, divs)
-        }
+        L::quotient_lanes(lv, lus, divs)
     }
 
     #[inline(always)]
     fn one(self, lv: L, lu: L, slot: usize) -> L::Acc {
-        L::quotient(lv, lu, self.table[slot])
+        L::quotient(lv, lu, self.0[slot])
     }
 }
 
-/// Divides every slot by one broadcast divisor; `simd` as for
-/// [`TableDiv`].
+/// Divides every slot by one broadcast divisor.
 #[derive(Clone, Copy)]
-struct UniformDiv<L> {
-    div: L,
-    simd: bool,
-}
+struct UniformDiv<L>(L);
 
 impl<L: DiffusionLoad> Quotients<L> for UniformDiv<L> {
     #[inline(always)]
     fn lanes<const D: usize>(self, lv: L, lus: [L; D], _off: usize) -> [L::Acc; D] {
-        if self.simd {
-            L::quotient_lanes_arch(lv, lus, [self.div; D])
-        } else {
-            L::quotient_lanes(lv, lus, [self.div; D])
-        }
+        L::quotient_lanes(lv, lus, [self.0; D])
     }
 
     #[inline(always)]
     fn one(self, lv: L, lu: L, _slot: usize) -> L::Acc {
-        L::quotient(lv, lu, self.div)
+        L::quotient(lv, lu, self.0)
     }
 }
 
 /// Multiplies every slot by the exact reciprocal of a uniform divisor.
-/// The product lanes are portable on every flavour: multiplication
-/// autovectorizes without help.
 #[derive(Clone, Copy)]
 struct UniformRecip<L>(L);
 
@@ -588,15 +521,12 @@ fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L)>(
         }
         return;
     }
-    let simd = kind == KernelKind::Simd;
     let g = spec.graph;
     match spec.slot_div {
-        Divisors::Table(table) => {
-            walk_runs(TableDiv { table, simd }, plan, g, snapshot, lo, hi, emit)
-        }
+        Divisors::Table(table) => walk_runs(TableDiv(table), plan, g, snapshot, lo, hi, emit),
         &Divisors::Uniform(div) => match L::exact_reciprocal(div) {
             Some(r) => walk_runs(UniformRecip(r), plan, g, snapshot, lo, hi, emit),
-            None => walk_runs(UniformDiv { div, simd }, plan, g, snapshot, lo, hi, emit),
+            None => walk_runs(UniformDiv(div), plan, g, snapshot, lo, hi, emit),
         },
     }
 }
@@ -830,32 +760,6 @@ mod tests {
                 assert_eq!(w.1.to_bits(), g2.1.to_bits(), "{kind:?} value");
             }
         }
-    }
-
-    #[test]
-    fn arch_lanes_match_portable_lanes() {
-        // Exercise quotient_lanes_arch directly at several widths; with
-        // the `simd` feature this hits the SSE2 path (even/odd D covers
-        // the scalar tail lane).
-        let lv = 3.25f64;
-        let lus = [7.5, -2.0, 1e300, 5e-324, 0.125, -9.75, 3.25, 2.5];
-        let divs = [8.0, 12.0, 20.0, 4.0, 16.0, 24.0, 8.0, 12.0];
-        macro_rules! check {
-            ($d:literal) => {{
-                let l: [f64; $d] = std::array::from_fn(|i| lus[i]);
-                let d: [f64; $d] = std::array::from_fn(|i| divs[i]);
-                let a = <f64 as DiffusionLoad>::quotient_lanes(lv, l, d);
-                let b = <f64 as DiffusionLoad>::quotient_lanes_arch(lv, l, d);
-                for i in 0..$d {
-                    assert_eq!(a[i].to_bits(), b[i].to_bits(), "lane {i} of {}", $d);
-                }
-            }};
-        }
-        check!(2);
-        check!(3);
-        check!(4);
-        check!(5);
-        check!(8);
     }
 
     #[test]
@@ -1110,7 +1014,7 @@ mod tests {
     #[test]
     fn kernel_kind_names_round_trip() {
         for kind in KernelKind::ALL {
-            assert!(matches!(kind.name(), "scalar" | "unrolled" | "simd"));
+            assert!(matches!(kind.name(), "scalar" | "unrolled"));
         }
         assert_eq!(KernelKind::default(), KernelKind::Unrolled);
     }

@@ -51,7 +51,7 @@ impl RoundSpectra {
 #[derive(Debug)]
 pub struct DynamicContinuousDiffusion<'s, S: GraphSequence + ?Sized> {
     g: Option<Graph>,
-    /// Bumped on every graph switch so the sharded backend knows to
+    /// Bumped on every graph switch so the message backend knows to
     /// re-resolve its shard plan (memoized per distinct graph).
     version: u64,
     seq: &'s mut S,
@@ -131,7 +131,7 @@ impl<S: GraphSequence + ?Sized> Protocol for DynamicContinuousDiffusion<'_, S> {
 pub struct DynamicDiscreteDiffusion<'s, S: GraphSequence + ?Sized> {
     g: Option<Graph>,
     /// See [`DynamicContinuousDiffusion`]: bumped per graph switch for
-    /// the sharded backend's plan memoization.
+    /// the message backend's plan memoization.
     version: u64,
     seq: &'s mut S,
 }
@@ -302,7 +302,7 @@ where
 }
 
 /// [`run_dynamic_continuous`] on an explicit engine [`Backend`]. The
-/// sharded and message backends re-derive their shard/exchange plans
+/// message and process backends re-derive their shard/exchange plans
 /// whenever the sequence switches graphs, memoized per distinct graph —
 /// a periodic schedule builds exactly one plan per schedule entry (and
 /// the message backend re-broadcasts only on an actual plan change).

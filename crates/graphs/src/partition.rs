@@ -585,11 +585,9 @@ impl ShardPlan {
 /// the canonical edge list). Used to memoize shard plans across the
 /// graphs of a dynamic sequence: equal graphs always collide, and a
 /// spurious collision is astronomically unlikely (~2⁻⁶⁴ per distinct
-/// pair). For the sharded backend a collision would only misattribute
-/// locality metrics (every plan still covers each node exactly once); the
-/// message-passing backend additionally derives its halo exchange
-/// schedule from the memoized plan, so there a collision would exchange
-/// the wrong values — the risk is accepted at these odds.
+/// pair). The message-passing backend derives its halo exchange schedule
+/// from the memoized plan, so a collision would exchange the wrong
+/// values — the risk is accepted at these odds.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -6,7 +6,7 @@
 //! degree runs, a preferential-attachment graph is an irregular tail.
 //! [`GatherPlan`] materializes that structure once per graph as a list of
 //! maximal [`DegreeRun`]s — contiguous node ranges of equal degree — so a
-//! dispatcher can select a fixed-degree unrolled (or SIMD) kernel per run
+//! dispatcher can select a fixed-degree unrolled kernel per run
 //! instead of branching per node.
 //!
 //! Each run also carries the CSR offset of its first node (`base`).

@@ -11,9 +11,9 @@
 //! name = "bursty-torus"
 //! protocol = "continuous"        # continuous | discrete | heterogeneous
 //! threads = 1                    # 1 = serial, 0 = auto-parallel, t > 1 = pool
-//! # or explicitly: backend = "serial" | "pool" | "sharded" | "message",
+//! # or explicitly: backend = "serial" | "pool" | "message" | "process",
 //! # with shards = k and partition = "range" | "bfs" for the last two
-//! # (message runs one worker per shard — no threads key)
+//! # (both run one worker per shard — no threads key)
 //! stats = "full"                 # full | phionly | every:k | off
 //!
 //! [topology]
@@ -832,8 +832,8 @@ fn scenario_from_tables(tables: Vec<Table>) -> Result<Scenario, String> {
 /// Parses the execution backend out of the `[scenario]` table. Without a
 /// `backend` key the legacy `threads` scalar decides (1 = serial, else
 /// pool); with one, `threads`/`shards`/`partition` refine it. The gating
-/// rules (`shards`/`partition` rejected outside `backend = "sharded"` /
-/// `"message"` / `"process"`, `threads` rejected on `"message"` and
+/// rules (`shards`/`partition` rejected outside `backend = "message"` /
+/// `"process"`, `threads` rejected on `"message"` and
 /// `"process"` — one worker per shard — and `transport` only on
 /// `"process"`, so a misspelled backend cannot silently drop the
 /// sharding request) live in [`exec_spec_from_parts`], shared with the
@@ -1070,14 +1070,6 @@ fn exec_entries(exec: &ExecSpec) -> Vec<(String, String)> {
     match *exec {
         ExecSpec::Serial => {}
         ExecSpec::Pool { threads } => e.push(("threads".into(), threads.to_string())),
-        ExecSpec::Sharded { partition, threads } => {
-            e.push((
-                "partition".into(),
-                format!("\"{}\"", partition.strategy_name()),
-            ));
-            e.push(("shards".into(), partition.shards().to_string()));
-            e.push(("threads".into(), threads.to_string()));
-        }
         // No threads key: the message backend runs one worker per shard.
         ExecSpec::Message {
             partition,
@@ -1288,26 +1280,6 @@ rounds = 5
         assert_eq!(serial.exec, ExecSpec::Serial);
         let auto_pool = Scenario::from_toml(&base("backend = \"pool\"")).unwrap();
         assert_eq!(auto_pool.exec, ExecSpec::Pool { threads: 0 });
-        let sharded = Scenario::from_toml(&base(
-            "backend = \"sharded\"\nshards = 8\npartition = \"bfs\"\nthreads = 2",
-        ))
-        .unwrap();
-        assert_eq!(
-            sharded.exec,
-            ExecSpec::Sharded {
-                partition: dlb_graphs::PartitionSpec::Bfs { shards: 8 },
-                threads: 2
-            }
-        );
-        // Defaults: partition = range, threads = auto.
-        let defaulted = Scenario::from_toml(&base("backend = \"sharded\"\nshards = 4")).unwrap();
-        assert_eq!(
-            defaulted.exec,
-            ExecSpec::Sharded {
-                partition: dlb_graphs::PartitionSpec::Range { shards: 4 },
-                threads: 0
-            }
-        );
         // The message backend: one worker per shard, no threads knob.
         let message = Scenario::from_toml(&base(
             "backend = \"message\"\nshards = 6\npartition = \"bfs\"",
@@ -1371,10 +1343,10 @@ rounds = 5
         );
         assert!(!process_default.to_toml().contains("transport"));
         // Gating — one case per error path of the exec assembly:
-        // misplaced shards/partition, unknown backend, sharded/message
-        // without shards, unknown partition strategy, zero shards,
-        // serial/message with a threads key. Every diagnostic carries the
-        // section and line, exactly like other key errors.
+        // misplaced shards/partition, unknown backend, message without
+        // shards, unknown partition strategy, zero shards, serial/message
+        // with a threads key. Every diagnostic carries the section and
+        // line, exactly like other key errors.
         for (text, needle) in [
             (base("shards = 4"), "only valid with backend"),
             (
@@ -1382,17 +1354,16 @@ rounds = 5
                 "only valid with backend",
             ),
             (base("backend = \"warp\""), "unknown backend"),
-            (base("backend = \"sharded\""), "needs shards"),
-            (base("backend = \"message\""), "needs shards"),
+            // An unknown backend error lists the four that exist.
             (
-                base("backend = \"sharded\"\nshards = 4\npartition = \"metis\""),
-                "unknown partition strategy",
+                base("backend = \"sharded\"\nshards = 4"),
+                "unknown backend \"sharded\" (expected serial, pool, message, or process)",
             ),
+            (base("backend = \"message\""), "needs shards"),
             (
                 base("backend = \"message\"\nshards = 4\npartition = \"metis\""),
                 "unknown partition strategy",
             ),
-            (base("backend = \"sharded\"\nshards = 0"), "shards >= 1"),
             (base("backend = \"message\"\nshards = 0"), "shards >= 1"),
             (base("backend = \"serial\"\nthreads = 3"), "one thread"),
             (
@@ -1401,10 +1372,6 @@ rounds = 5
             ),
             (
                 base("backend = \"pool\"\nresident = true"),
-                "only valid with backend = \"message\"",
-            ),
-            (
-                base("backend = \"sharded\"\nshards = 4\nresident = false"),
                 "only valid with backend = \"message\"",
             ),
             (
@@ -1526,10 +1493,10 @@ sede = 42
         }
         // Parsed scenarios hit the same validation as built ones: halo
         // fault kinds need the message backend.
-        let sharded =
-            base("drop = true\n").replace("backend = \"message\"", "backend = \"sharded\"");
-        let err = Scenario::from_toml(&sharded).unwrap_err();
-        assert!(err.contains("message"), "{err}");
+        let pool = base("drop = true\nshards = 4\n")
+            .replace("backend = \"message\"\nshards = 4", "backend = \"pool\"");
+        let err = Scenario::from_toml(&pool).unwrap_err();
+        assert!(err.contains("need backend = \"message\""), "{err}");
     }
 
     #[test]

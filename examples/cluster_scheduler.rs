@@ -18,7 +18,7 @@ use dlb_core::discrete::DiscreteDiffusion;
 use dlb_core::engine::IntoEngine;
 use dlb_core::model::DiscreteBalancer;
 use dlb_core::potential;
-use dlb_examples::arg_usize;
+use dlb_examples::{arg_usize, require_flags};
 use dlb_graphs::topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,6 +38,7 @@ fn ticks_to_near_balance(b: &mut dyn DiscreteBalancer, mut queues: Vec<i64>) -> 
 }
 
 fn main() {
+    require_flags(&["--racks"], &[]);
     let racks = arg_usize("--racks", 16);
     assert!(racks >= 3, "--racks must be ≥ 3");
     let per_rack = 32usize;

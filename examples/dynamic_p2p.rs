@@ -16,12 +16,13 @@ use dlb_core::engine::IntoEngine;
 use dlb_core::potential;
 use dlb_core::random_partner::RandomPartnerContinuous;
 use dlb_dynamics::{run_dynamic_continuous, MarkovChurnSequence, OutageSequence};
-use dlb_examples::{arg_usize, log_sparkline};
+use dlb_examples::{arg_usize, log_sparkline, require_flags};
 use dlb_graphs::topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    require_flags(&["--n"], &[]);
     let n = arg_usize("--n", 256);
     assert!(n >= 16, "--n must be ≥ 16");
     let mut rng = StdRng::seed_from_u64(0xD2D);

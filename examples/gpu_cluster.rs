@@ -1,7 +1,7 @@
 //! Heterogeneous cluster: capacity-proportional balancing (extension E15).
 //!
 //! ```text
-//! cargo run --release -p dlb-examples --example gpu_cluster
+//! cargo run --release -p dlb-examples --example gpu_cluster [-- --side 16]
 //! ```
 //!
 //! A mixed cluster: most workers are CPU nodes (capacity 1), one in eight
@@ -13,10 +13,11 @@
 use dlb_core::engine::IntoEngine;
 use dlb_core::heterogeneous::{proportional_target, weighted_phi, HeterogeneousDiffusion};
 use dlb_core::potential;
-use dlb_examples::arg_usize;
+use dlb_examples::{arg_usize, require_flags};
 use dlb_graphs::topology;
 
 fn main() {
+    require_flags(&["--side"], &[]);
     let side = arg_usize("--side", 16);
     let n = side * side;
     let g = topology::torus2d(side, side);

@@ -14,11 +14,12 @@ use dlb_core::discrete::DiscreteDiffusion;
 use dlb_core::engine::IntoEngine;
 use dlb_core::runner::{rounds_to_epsilon, run_discrete};
 use dlb_core::{bounds, potential};
-use dlb_examples::{arg_usize, log_sparkline};
+use dlb_examples::{arg_usize, log_sparkline, require_flags};
 use dlb_graphs::topology;
 use dlb_spectral::closed_form;
 
 fn main() {
+    require_flags(&["--n"], &[]);
     let n = arg_usize("--n", 1024);
     let side = (n as f64).sqrt().round() as usize;
     assert!(

@@ -12,7 +12,7 @@
 //! Options:
 //!
 //! * `--name <builtin>` / `--file <path>` — which scenario to run;
-//! * `--backend <serial|pool|sharded|message|process>` — override the
+//! * `--backend <serial|pool|message|process>` — override the
 //!   scenario's execution backend (trajectories are backend-independent,
 //!   so this is safe to vary freely — the CI cross-backend matrix relies
 //!   on it);
@@ -20,9 +20,8 @@
 //!   it is the legacy scalar: 1 = serial, 0 = auto-pool, t > 1 = pool;
 //!   rejected with `--backend message`/`process`, which run one worker
 //!   per shard);
-//! * `--shards <k>` / `--partition <range|bfs>` —
-//!   sharded/message/process-backend parameters (without `--backend`,
-//!   `--shards` implies `--backend sharded`);
+//! * `--shards <k>` / `--partition <range|bfs>` — message/process-backend
+//!   parameters (without `--backend`, either implies `--backend message`);
 //! * `--transport <unix|tcp>` — process-backend byte transport (implies
 //!   `--backend process`; default `unix`);
 //! * `--resident` — message-backend shard-resident rounds: workers keep
@@ -51,7 +50,7 @@
 //! doubles as an end-to-end smoke check. Any other argument (say
 //! `--stats`) exits with code 2 and lists the accepted flags.
 
-use dlb_examples::{arg_value, check_flags, log_sparkline};
+use dlb_examples::{arg_value, log_sparkline, require_flags};
 use dlb_telemetry::{CommCounters, FaultCounters, MetricsSnapshot, TraceMeta};
 use dlb_workloads::{exec_spec_from_parts, ExecSpec, FaultsSpec, Scenario, ScenarioRunner};
 
@@ -61,16 +60,6 @@ fn exec_summary(exec: &ExecSpec) -> String {
         ExecSpec::Serial => "serial".to_string(),
         ExecSpec::Pool { threads: 0 } => "pool(auto)".to_string(),
         ExecSpec::Pool { threads } => format!("pool({threads})"),
-        ExecSpec::Sharded { partition, threads } => format!(
-            "sharded({} x{}, {} workers)",
-            partition.strategy_name(),
-            partition.shards(),
-            if threads == 0 {
-                "auto".to_string()
-            } else {
-                threads.to_string()
-            }
-        ),
         ExecSpec::Message {
             partition,
             resident,
@@ -95,7 +84,7 @@ fn exec_summary(exec: &ExecSpec) -> String {
 /// `--partition`, or `None` when no exec flag was given. The gating rules
 /// live in `dlb_workloads::exec_spec_from_parts`, shared with the
 /// scenario-file parser; the one CLI-only convenience is that `--shards`
-/// or `--partition` imply `--backend sharded`.
+/// or `--partition` imply `--backend message`.
 fn exec_override() -> Option<ExecSpec> {
     let fail = |msg: &str| -> ! {
         eprintln!("{msg}");
@@ -115,7 +104,7 @@ fn exec_override() -> Option<ExecSpec> {
     let backend = arg_value("--backend")
         .or_else(|| resident.map(|_| "message".to_string()))
         .or_else(|| transport.as_ref().map(|_| "process".to_string()))
-        .or_else(|| (shards.is_some() || strategy.is_some()).then(|| "sharded".to_string()));
+        .or_else(|| (shards.is_some() || strategy.is_some()).then(|| "message".to_string()));
     if backend.is_none() {
         return threads.map(|t| {
             exec_spec_from_parts(None, Some(t), None, None, None, None).unwrap_or_else(|e| fail(&e))
@@ -153,11 +142,8 @@ const VALUED_FLAGS: &[&str] = &[
 const SWITCHES: &[&str] = &["--resident", "--print-spec", "--list"];
 
 fn main() {
+    require_flags(VALUED_FLAGS, SWITCHES);
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(msg) = check_flags(&args, VALUED_FLAGS, SWITCHES) {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    }
     if args.iter().any(|a| a == "--list") {
         println!("built-in scenarios:");
         for name in Scenario::builtin_names() {
@@ -172,8 +158,9 @@ fn main() {
             );
         }
         println!(
-            "\nexec overrides: --backend serial|pool|sharded|message|process, --threads t, \
-             --shards k, --partition range|bfs, --resident, --transport unix|tcp\n\
+            "\nexec overrides: --backend serial|pool|message|process, --threads t, \
+             --shards k, --partition range|bfs (alone: imply --backend message), \
+             --resident, --transport unix|tcp\n\
              fault injection: --faults \"every=40,down=5,seed=7,panic,drop,delay=3\""
         );
         return;
@@ -197,7 +184,7 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: scenarios (--name <builtin> | --file <path>) \
-                 [--backend serial|pool|sharded|message|process] [--threads t] [--shards k] \
+                 [--backend serial|pool|message|process] [--threads t] [--shards k] \
                  [--partition range|bfs] [--resident] [--transport unix|tcp] [--faults spec] \
                  [--json out.jsonl] [--trace out.trace] [--trace-format jsonl|chrome] \
                  [--print-spec] [--list]"

@@ -61,11 +61,36 @@ pub fn arg_value(name: &str) -> Option<String> {
     None
 }
 
-/// `--n 128`-style usize override with a default.
+/// `--n 128`-style usize override with a default. An unparsable value
+/// exits with code 2 and names the flag.
 pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_usize(name, arg_value(name).as_deref(), default).unwrap_or_else(|msg| exit_usage(&msg))
+}
+
+/// The parsing half of [`arg_usize`]: `value` is the flag's argument, if
+/// the flag was given.
+pub fn parse_usize(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name} must be a non-negative integer, got {v:?}")),
+    }
+}
+
+/// Runs [`check_flags`] on this process's arguments and exits with code 2
+/// on anything the program does not accept.
+pub fn require_flags(valued: &[&str], switches: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(msg) = check_flags(&args, valued, switches) {
+        exit_usage(&msg);
+    }
+}
+
+/// Prints `msg` to stderr and exits with the usage-error code 2.
+fn exit_usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 /// Checks a command line against the flags a program accepts: `valued`
@@ -137,6 +162,17 @@ mod tests {
     #[test]
     fn arg_usize_default() {
         assert_eq!(arg_usize("--definitely-not-passed", 42), 42);
+    }
+
+    #[test]
+    fn parse_usize_rejects_unparsable_values_by_flag_name() {
+        assert_eq!(parse_usize("--n", None, 42), Ok(42));
+        assert_eq!(parse_usize("--n", Some("256"), 42), Ok(256));
+        for bad in ["abc", "", "-3", "1.5"] {
+            let err = parse_usize("--n", Some(bad), 42).expect_err(bad);
+            assert!(err.starts_with("--n must be"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]

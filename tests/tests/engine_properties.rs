@@ -1,6 +1,6 @@
 //! Engine-level property tests: for **every** `Protocol` implementation in
-//! the workspace, the in-process executor backends — serial, pool,
-//! sharded and message-passing (both range and BFS partitions, including
+//! the workspace, the in-process executor backends — serial, pool and
+//! message-passing (both range and BFS partitions, including
 //! shard counts exceeding `n`) — must produce bit-identical load vectors
 //! **and per-round statistics** on arbitrary graphs, initial loads, and
 //! thread counts — the structural guarantee the unified engine owes the
@@ -95,10 +95,10 @@ fn run_collecting_resident<P: Protocol>(
     (loads, stats)
 }
 
-/// Runs `rounds` rounds on every backend — serial, pool, sharded/range,
-/// sharded/BFS (with one shard count near the thread count and one
-/// exceeding `n`), and the message backend (shard-isolated workers over
-/// channels, both partition strategies, again incl. shards > `n`) — from
+/// Runs `rounds` rounds on every backend — serial, pool, and the message
+/// backend (shard-isolated workers over channels, both partition
+/// strategies, with one shard count near the thread count and one
+/// exceeding `n`) — from
 /// the same state and asserts bitwise equality of the final vectors *and*
 /// of every round's statistics. The reference is the serial engine with
 /// the **scalar** kernel; the backend sweep then runs at the default
@@ -117,18 +117,7 @@ where
     );
     let name = make().name();
 
-    let shard_counts = [threads + 1, init.len() + 3]; // incl. shards > n
     let mut backends = vec![Backend::Pool { threads }];
-    for shards in shard_counts {
-        backends.push(Backend::Sharded {
-            partition: PartitionSpec::Range { shards },
-            threads,
-        });
-        backends.push(Backend::Sharded {
-            partition: PartitionSpec::Bfs { shards },
-            threads,
-        });
-    }
     backends.push(Backend::Message {
         partition: PartitionSpec::Range {
             shards: threads + 1,
@@ -194,12 +183,6 @@ where
     let kernel_backends = [
         Backend::Serial,
         Backend::Pool { threads },
-        Backend::Sharded {
-            partition: PartitionSpec::Range {
-                shards: threads + 1,
-            },
-            threads,
-        },
         Backend::Message {
             partition: PartitionSpec::Range {
                 shards: threads + 1,

@@ -29,8 +29,9 @@ fn message(shards: usize) -> Backend {
     }
 }
 
-#[test]
-fn dynamic_continuous_identical_on_the_message_backend() {
+/// Runs the continuous dynamic driver on a fixed random-subgraph sequence
+/// serially and on each backend, asserting bit-identical trajectories.
+fn assert_dynamic_continuous_identical(backends: &[Backend]) {
     let ground = topology::hypercube(5); // n = 32
     let init: Vec<f64> = (0..32).map(|i| ((i * 13 + 5) % 37) as f64).collect();
 
@@ -38,13 +39,7 @@ fn dynamic_continuous_identical_on_the_message_backend() {
     let mut serial = init.clone();
     let a = run_dynamic_continuous(&mut serial_seq, &mut serial, f64::NEG_INFINITY, 12, false);
 
-    for backend in [
-        message(4),
-        Backend::Message {
-            partition: PartitionSpec::Range { shards: 7 },
-            resident: false,
-        },
-    ] {
+    for &backend in backends {
         let mut seq = IidSubgraphSequence::new(ground.clone(), 0.6, 42);
         let mut loads = init.clone();
         let b =
@@ -57,6 +52,30 @@ fn dynamic_continuous_identical_on_the_message_backend() {
         );
         assert_eq!(serial, loads, "{backend:?}: loads diverged");
     }
+}
+
+#[test]
+fn dynamic_continuous_identical_on_the_message_backend() {
+    assert_dynamic_continuous_identical(&[
+        message(4),
+        Backend::Message {
+            partition: PartitionSpec::Range { shards: 7 },
+            resident: false,
+        },
+    ]);
+}
+
+#[test]
+fn dynamic_continuous_identical_across_backends() {
+    // The pool runs the same dynamic driver without any shard plan.
+    assert_dynamic_continuous_identical(&[
+        Backend::Pool { threads: 3 },
+        message(4),
+        Backend::Message {
+            partition: PartitionSpec::Range { shards: 6 },
+            resident: false,
+        },
+    ]);
 }
 
 #[test]
@@ -143,6 +162,55 @@ fn comm_metrics_match_partition_brute_force() {
 }
 
 #[test]
+fn shard_metrics_match_partition_brute_force() {
+    let g = topology::torus2d(8, 8);
+    let spec = PartitionSpec::Bfs { shards: 4 };
+    let partition = spec.build(&g);
+    let plan = ShardPlan::build(&g, &partition);
+
+    let mut seq = StaticSequence::new(g.clone());
+    let mut engine = Engine::message(DynamicContinuousDiffusion::new(&mut seq), spec);
+    let mut loads = vec![0.0; 64];
+    loads[0] = 640.0;
+    engine.round(&mut loads);
+    let metrics = engine.shard_metrics().expect("metrics");
+    assert_eq!(metrics.edge_cut, partition.edge_cut(&g));
+    assert_eq!(metrics.edge_cut, plan.edge_cut());
+    assert_eq!(metrics.halo, plan.halo_total());
+    assert_eq!(metrics.interior, plan.interior_total());
+    // A 4-way cut of a connected torus must actually cut something, and
+    // a reasonable tiling keeps some tile interiors exchange-free (a 4×4
+    // torus tile has a 2×2 interior).
+    assert!(metrics.edge_cut > 0);
+    assert!(metrics.halo > 0);
+    assert!(metrics.interior > 0);
+}
+
+#[test]
+fn bfs_partition_cuts_fewer_torus_edges_than_flat_chunking() {
+    // The point of communication-aware sharding: on a 2-D torus, BFS
+    // regions approximate square tiles whose perimeter beats the long
+    // skinny strips of row-major range chunking... at minimum they must
+    // never be *worse* than the strips are on an instance this regular,
+    // and both bounds stay far below m. The message engine reports the
+    // cut of the plan it actually ran.
+    let g = topology::torus2d(16, 16);
+    let cut_of = |partition: PartitionSpec| {
+        let mut seq = StaticSequence::new(g.clone());
+        let mut engine = Engine::message(DynamicContinuousDiffusion::new(&mut seq), partition);
+        let mut loads = vec![1.0; g.n()];
+        engine.round(&mut loads);
+        engine.shard_metrics().expect("metrics").edge_cut
+    };
+    let range = cut_of(PartitionSpec::Range { shards: 8 });
+    let bfs = cut_of(PartitionSpec::Bfs { shards: 8 });
+    assert_eq!(range, Partition::range(g.n(), 8).edge_cut(&g));
+    assert_eq!(bfs, Partition::bfs(&g, 8).edge_cut(&g));
+    assert!(bfs <= range, "bfs cut {bfs} worse than range cut {range}");
+    assert!(bfs < g.m() / 2);
+}
+
+#[test]
 fn message_builtin_matches_its_serial_twin() {
     // `bursty-torus-message` is `bursty-torus` on shard-isolated
     // workers; everything but the name, backend, and comm totals must
@@ -192,6 +260,56 @@ fn scenario_exec_override_onto_message_matches_reference() {
     let b: Vec<u64> = run.phi_trace.iter().map(|p| p.to_bits()).collect();
     assert_eq!(a, b, "Φ trace diverged");
     assert_eq!(reference.final_total.to_bits(), run.final_total.to_bits());
+}
+
+#[test]
+fn scenario_trajectories_identical_across_exec_overrides() {
+    let sc = Scenario::builtin("bursty-torus").unwrap();
+    let reference = ScenarioRunner::new(sc.clone()).run().unwrap();
+    assert_eq!(reference.backend, "serial");
+    for exec in [
+        ExecSpec::Pool { threads: 2 },
+        ExecSpec::Message {
+            partition: PartitionSpec::Range { shards: 8 },
+            resident: false,
+        },
+        ExecSpec::Message {
+            partition: PartitionSpec::Bfs { shards: 5 },
+            resident: false,
+        },
+    ] {
+        let run = ScenarioRunner::new(sc.clone())
+            .with_exec(exec)
+            .run()
+            .unwrap();
+        assert_eq!(run.backend, exec.name());
+        assert_eq!(reference.rounds, run.rounds, "{exec:?}");
+        let a: Vec<u64> = reference.phi_trace.iter().map(|p| p.to_bits()).collect();
+        let b: Vec<u64> = run.phi_trace.iter().map(|p| p.to_bits()).collect();
+        assert_eq!(a, b, "{exec:?}: Φ trace diverged");
+        assert_eq!(
+            reference.final_total.to_bits(),
+            run.final_total.to_bits(),
+            "{exec:?}"
+        );
+    }
+}
+
+#[test]
+fn static_sequence_on_message_backend_builds_one_plan() {
+    let g = topology::torus2d(6, 6);
+    let mut seq = StaticSequence::new(g);
+    let mut engine = Engine::message(
+        DynamicContinuousDiffusion::new(&mut seq),
+        PartitionSpec::Range { shards: 6 },
+    );
+    let mut loads = vec![0.0; 36];
+    loads[0] = 360.0;
+    engine.rounds(&mut loads, 8);
+    let metrics = engine.shard_metrics().expect("metrics");
+    // The graph is cloned per round but structurally identical: the
+    // fingerprint cache must dedupe it to a single plan.
+    assert_eq!(metrics.plans_built, 1);
 }
 
 #[test]

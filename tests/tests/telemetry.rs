@@ -19,18 +19,11 @@ use proptest::prelude::*;
 
 const SHARDS: usize = 4;
 
-fn backends() -> [(&'static str, Backend); 4] {
+fn backends() -> [(&'static str, Backend); 3] {
     let partition = PartitionSpec::Range { shards: SHARDS };
     [
         ("serial", Backend::Serial),
         ("pool", Backend::Pool { threads: 3 }),
-        (
-            "sharded",
-            Backend::Sharded {
-                partition,
-                threads: 2,
-            },
-        ),
         (
             "message",
             Backend::Message {
