@@ -3131,9 +3131,7 @@ impl<P: Protocol> Engine<P> {
                         snapshot,
                         &mut self.back,
                         protocol.gather_spec(),
-                        &mut |nodes, out| {
-                            out.extend(nodes.iter().map(|&v| protocol.node_new_load(snapshot, v)))
-                        },
+                        &|v| protocol.node_new_load(snapshot, v),
                         tel,
                         round_no,
                     )

@@ -42,6 +42,20 @@
 //! protocols — the same honesty policy as the message backend's
 //! full-exchange fallback.
 //!
+//! ## A fused codec
+//!
+//! The per-round value frames go straight between the load arrays and
+//! the frame bytes, through `dlb-wire`'s single word-list writer
+//! ([`encode_words`] / [`WordWriter`]) and reader ([`read_frame_raw`]).
+//! The coordinator encodes owned seeds and halo batches from the
+//! round-start snapshot, writing each frame as soon as it is built, and
+//! decodes [`Frame::Results`] straight into the engine's back buffer in
+//! interior ⧺ boundary order — there is no separate scatter pass, so the
+//! round records `Serialize` and `Deserialize` spans and no
+//! `ScatterOwned`. The worker decodes into its frame and gathers straight
+//! into the `Results` bytes. No buffer outlives a round, and `Plan`
+//! frames never go through a round's read buffer.
+//!
 //! ## Failure model
 //!
 //! A worker that dies (crash, kill, OOM) closes its socket: the
@@ -56,7 +70,13 @@
 //! a dead worker fails every subsequent round with the same typed error
 //! until the engine is rebuilt (the scenario layer rejects `faults` on
 //! the process backend for the same reason it rejects them on resident
-//! sessions).
+//! sessions). A `Results` frame whose value count differs from the
+//! shard's owned count is the same typed error, raised before any of its
+//! values is written. Failed rounds never reach the caller's loads: the
+//! back buffer is swapped in only on success. A worker that rejects a
+//! round (stale seq, wrong cardinality, unplanned halo source) still
+//! drains every frame the round announced, answers `Done { ok: false }`
+//! and keeps serving.
 //!
 //! The wire format itself is specified in `docs/WIRE.md`; the operator's
 //! view (spawning, transports, timeouts, kill semantics) is in the
@@ -73,9 +93,10 @@ use dlb_graphs::structure::GatherPlan;
 use dlb_graphs::Graph;
 use dlb_telemetry::{Phase as SpanPhase, Telemetry};
 use dlb_wire::{
-    read_frame, read_hello, read_hello_ack, write_hello, write_hello_ack, CountingStream,
-    DoneFrame, Frame, KernelPlan, LoadType, PlanFrame, RoundCmdFrame, RoundMode, Transport,
-    WireError, WireListener, WireStream,
+    encode_words, read_frame, read_frame_raw, read_hello, read_hello_ack, write_hello,
+    write_hello_ack, CountingStream, DoneFrame, Frame, KernelPlan, LoadType, PlanFrame, RawFrame,
+    RoundCmdFrame, RoundMode, Transport, WireError, WireListener, WireStream, WordFrame,
+    WordFrameKind, WordWriter,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -308,14 +329,16 @@ impl<L: WireLoad> ProcessExec<L> {
     /// One legacy round over the wire. `gather_spec` selects diffusion
     /// mode (workers evaluate the shipped kernel) when present and
     /// consistent with the current plan's graph; `precompute` is the
-    /// coordinator-side kernel every other protocol's rounds are
-    /// evaluated with. Returns the first failed shard.
+    /// coordinator-side per-node kernel every other protocol's rounds are
+    /// evaluated with. Results decode straight into `out`, which on a
+    /// failed round may hold some of them. Returns the first failed
+    /// shard.
     pub(crate) fn round(
         &mut self,
         snapshot: &[L],
         out: &mut [L],
         gather_spec: Option<GatherSpec<'_, L>>,
-        precompute: &mut dyn FnMut(&[u32], &mut Vec<L>),
+        precompute: &dyn Fn(u32) -> L,
         tel: &Telemetry,
         round_no: u64,
     ) -> Result<(), usize> {
@@ -352,12 +375,13 @@ impl<L: WireLoad> ProcessExec<L> {
         }
 
         // Dispatch: plan (when changed), round command, owned seed, and
-        // — in diffusion mode — the halo batches, per shard. Serialize
-        // spans land on the shard's own telemetry lane: this encode/write
-        // is that worker's inbound traffic.
+        // — in diffusion mode — the halo batches, per shard. Each value
+        // frame is encoded straight from the loads and written as soon
+        // as it is built. Serialize spans land on the shard's own
+        // telemetry lane: this encode/write is that worker's inbound
+        // traffic.
         let rebroadcast = self.broadcast_key != Some(key);
         let mut per_src_sent = vec![0usize; shards];
-        let mut owned_scratch: Vec<L> = Vec::new();
         for s in 0..shards {
             let t0 = tel.start();
             if !self.workers[s].alive {
@@ -365,87 +389,83 @@ impl<L: WireLoad> ProcessExec<L> {
                 return Err(s);
             }
             let view = &plan.views()[s];
-            let mut frames: Vec<Vec<u8>> = Vec::with_capacity(3 + plan.recv[s].len());
+            // A changed plan goes out first, on its own: it is the
+            // round's largest frame. Installing it is harmless even if
+            // the round then fails, since the next round re-sends it.
             if rebroadcast {
-                frames.push(
-                    Frame::Plan(plan_frame_for::<L>(
-                        &plan,
-                        s,
-                        self.n,
-                        seq,
-                        diffusion,
-                        gather_spec,
-                    ))
-                    .encode(),
-                );
+                let frame = plan_frame_for::<L>(&plan, s, self.n, seq, diffusion, gather_spec);
+                if self.workers[s]
+                    .conn
+                    .write_all(&Frame::Plan(frame).encode())
+                    .is_err()
+                {
+                    self.workers[s].alive = false;
+                    self.fail_comm(comm);
+                    return Err(s);
+                }
             }
-            frames.push(
-                Frame::RoundCmd(RoundCmdFrame {
-                    seq,
-                    round: round_no,
-                    mode,
-                    halo_batches: if diffusion {
-                        plan.recv[s].len() as u32
-                    } else {
-                        0
-                    },
-                })
-                .encode(),
-            );
+            let owned = view.owned().iter();
             // Owned seed: round-start values in diffusion mode, the
             // coordinator-evaluated *new* values in precomputed mode —
-            // both aligned to the view's owned order.
-            owned_scratch.clear();
-            if diffusion {
-                owned_scratch.extend(view.owned().iter().map(|&v| snapshot[v as usize]));
+            // both aligned to the view's owned order. It is built before
+            // the round command is written, so a panicking kernel leaves
+            // this shard's stream at a frame boundary.
+            let owned_frame = if diffusion {
+                encode_words(
+                    WordFrameKind::OwnedValues,
+                    seq,
+                    owned.map(|&v| snapshot[v as usize].to_word()),
+                )
             } else {
                 // In precomputed mode the protocol kernel runs *here*, on
                 // the coordinator; a panicking kernel becomes this
                 // shard's typed error — parity with the other backends'
                 // supervised gathers.
                 let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    precompute(view.owned(), &mut owned_scratch)
+                    encode_words(
+                        WordFrameKind::OwnedValues,
+                        seq,
+                        owned.map(|&v| precompute(v).to_word()),
+                    )
                 }));
-                if computed.is_err() {
-                    self.fail_comm(comm);
-                    return Err(s);
+                match computed {
+                    Ok(bytes) => bytes,
+                    Err(_) => {
+                        self.fail_comm(comm);
+                        return Err(s);
+                    }
                 }
-            }
-            comm.owned_values_in += owned_scratch.len();
-            frames.push(
-                Frame::OwnedValues {
+            };
+            comm.owned_values_in += view.owned().len();
+            let groups = if diffusion { &plan.recv[s][..] } else { &[] };
+            let conn = &mut self.workers[s].conn;
+            let mut send = || -> std::io::Result<()> {
+                let cmd = RoundCmdFrame {
                     seq,
-                    values: owned_scratch.iter().map(|v| v.to_word()).collect(),
-                }
-                .encode(),
-            );
-            if diffusion {
-                for (src, ids) in &plan.recv[s] {
-                    let values: Vec<u64> = ids
-                        .iter()
-                        .map(|&v| snapshot[v as usize].to_word())
-                        .collect();
+                    round: round_no,
+                    mode,
+                    halo_batches: groups.len() as u32,
+                };
+                conn.write_all(&Frame::RoundCmd(cmd).encode())?;
+                conn.write_all(&owned_frame)?;
+                for (src, ids) in groups {
                     comm.messages += 1;
-                    comm.values_sent += values.len();
-                    per_src_sent[*src] += values.len();
-                    frames.push(
-                        Frame::HaloBatch {
-                            seq,
-                            src: *src as u32,
-                            values,
-                        }
-                        .encode(),
+                    comm.values_sent += ids.len();
+                    per_src_sent[*src] += ids.len();
+                    let batch = encode_words(
+                        WordFrameKind::HaloBatch { src: *src as u32 },
+                        seq,
+                        ids.iter().map(|&v| snapshot[v as usize].to_word()),
                     );
+                    conn.write_all(&batch)?;
                 }
+                conn.flush()
+            };
+            if send().is_err() {
+                self.workers[s].alive = false;
+                self.fail_comm(comm);
+                return Err(s);
             }
-            for bytes in &frames {
-                if self.workers[s].conn.write_all(bytes).is_err() {
-                    self.workers[s].alive = false;
-                    self.fail_comm(comm);
-                    return Err(s);
-                }
-            }
-            let _ = self.workers[s].conn.flush();
             tel.record(s as u32, round_no, SpanPhase::Serialize, t0);
         }
         self.broadcast_key = Some(key);
@@ -455,27 +475,45 @@ impl<L: WireLoad> ProcessExec<L> {
         // not-ok Done). Workers only ever wait on the coordinator — all
         // inbound frames for the round are already written — so a dead
         // worker is an EOF/timeout *here*, never a stalled peer
-        // elsewhere: the barrier cannot deadlock.
+        // elsewhere: the barrier cannot deadlock. Results decode
+        // straight into `out` in the interior-then-boundary order every
+        // backend scatters in; one read buffer serves the whole round.
         let mut failed: Option<usize> = None;
-        let mut results: Vec<Option<Vec<L>>> = (0..shards).map(|_| None).collect();
-        'collect: for (s, slot) in results.iter_mut().enumerate() {
+        let mut buf = Vec::new();
+        'collect: for s in 0..shards {
             let t0 = tel.start();
+            let view = &plan.views()[s];
+            let mut received = None;
             loop {
-                match read_frame(&mut self.workers[s].conn) {
-                    Ok(Frame::Results { seq: got, values }) if got == seq => {
-                        *slot = Some(values.into_iter().map(L::from_word).collect());
-                    }
-                    Ok(Frame::Done(DoneFrame { seq: got, ok })) if got == seq => {
-                        if !ok || slot.is_none() {
+                match read_frame_raw(&mut self.workers[s].conn, &mut buf) {
+                    Ok(RawFrame::Words(f)) if f.kind == WordFrameKind::Results && f.seq == seq => {
+                        // A wrong count is this shard's error, caught
+                        // before a single value is written. The worker's
+                        // Done stays unread and is drained as stale by
+                        // the next round.
+                        if !decode_into(&f, view.interior(), view.boundary(), out) {
                             failed.get_or_insert(s);
                             break 'collect;
                         }
-                        comm.owned_values_out += slot.as_ref().map_or(0, Vec::len);
+                        received = Some(f.len());
+                    }
+                    Ok(RawFrame::Other(Frame::Done(DoneFrame { seq: got, ok }))) if got == seq => {
+                        match received {
+                            Some(values) if ok => comm.owned_values_out += values,
+                            _ => {
+                                failed.get_or_insert(s);
+                                break 'collect;
+                            }
+                        }
                         break;
                     }
                     // Stale frames from a previous failed attempt are
                     // drained, mirroring the message backend's seq dedup.
-                    Ok(Frame::Results { .. }) | Ok(Frame::Done(_)) => continue,
+                    Ok(RawFrame::Words(WordFrame {
+                        kind: WordFrameKind::Results,
+                        ..
+                    }))
+                    | Ok(RawFrame::Other(Frame::Done(_))) => continue,
                     Ok(_) | Err(_) => {
                         self.workers[s].alive = false;
                         failed.get_or_insert(s);
@@ -487,28 +525,10 @@ impl<L: WireLoad> ProcessExec<L> {
         }
         comm.halo_bytes = comm.values_sent * std::mem::size_of::<L>();
         self.fail_comm(comm);
-        if let Some(shard) = failed {
-            return Err(shard);
+        match failed {
+            Some(shard) => Err(shard),
+            None => Ok(()),
         }
-
-        // Scatter the per-shard results into the global vector — the
-        // same interior-then-boundary order every backend scatters in.
-        let t_scatter = tel.start();
-        for (view, shard_results) in plan.views().iter().zip(results) {
-            let shard_results = shard_results.expect("every shard reported");
-            debug_assert_eq!(shard_results.len(), view.owned().len());
-            let order = view.interior().iter().chain(view.boundary());
-            for (&v, &value) in order.zip(shard_results.iter()) {
-                out[v as usize] = value;
-            }
-        }
-        tel.record(
-            dlb_telemetry::ENGINE_LANE,
-            round_no,
-            SpanPhase::ScatterOwned,
-            t_scatter,
-        );
-        Ok(())
     }
 
     /// Folds the wire byte counters into `comm` and publishes it as the
@@ -659,12 +679,12 @@ pub fn run_worker(mut conn: WireStream, shard: u32) -> Result<(), WireError> {
             LoadType::F64 => worker_loop::<f64>(conn, shard, plan),
             LoadType::I64 => worker_loop::<i64>(conn, shard, plan),
         },
-        Ok(other) => Err(protocol_violation(shard, "plan", &other)),
+        Ok(other) => Err(protocol_violation(shard, "plan", &RawFrame::Other(other))),
         Err(e) => Err(e),
     }
 }
 
-fn protocol_violation(shard: u32, expected: &str, got: &Frame) -> WireError {
+fn protocol_violation(shard: u32, expected: &str, got: &RawFrame<'_>) -> WireError {
     eprintln!(
         "dlb-shard-worker[{shard}]: protocol violation: expected {expected}, got {}",
         got.kind_name()
@@ -756,106 +776,183 @@ fn worker_loop<L: WireLoad>(
                 state = ShardState::install(shard, plan)?;
             }
             Ok(Frame::RoundCmd(cmd)) => {
-                // Drain the round's inbound frames *before* validating,
-                // so a rejected round leaves the stream at a frame
-                // boundary for the next attempt.
-                let owned_values = match read_frame(&mut conn)? {
-                    Frame::OwnedValues { seq, values } if seq == cmd.seq => values,
-                    Frame::OwnedValues { .. } => {
-                        write_done(&mut conn, cmd.seq, false)?;
-                        continue;
-                    }
-                    other => return Err(protocol_violation(shard, "owned-values", &other)),
-                };
-                let mut halos = Vec::with_capacity(cmd.halo_batches as usize);
-                for _ in 0..cmd.halo_batches {
-                    match read_frame(&mut conn)? {
-                        Frame::HaloBatch { seq, src, values } if seq == cmd.seq => {
-                            halos.push((src, values));
-                        }
-                        Frame::HaloBatch { .. } => {}
-                        other => return Err(protocol_violation(shard, "halo-batch", &other)),
-                    }
-                }
+                // Drain every inbound frame the command announces *before*
+                // deciding the round's fate, so a rejected round leaves
+                // the stream at a frame boundary for the next one. Values
+                // decode straight into the frame; whatever a rejected
+                // round wrote there is overwritten by the next accepted
+                // one, which refills every owned and halo slot. The read
+                // buffer lives for this round's value frames only.
+                //
                 // The stream is ordered, so the installed plan is always
                 // the one this command was built against (the coordinator
                 // writes Plan immediately before the RoundCmd that first
                 // uses it); `state.seq` records when it arrived, not a
                 // per-round token.
                 let mut ok = cmd.seq >= state.seq
-                    && owned_values.len() == state.owned.len()
                     && (cmd.mode == RoundMode::Precomputed || state.kernel.is_some());
-                if ok {
-                    for (&v, &word) in state.owned.iter().zip(&owned_values) {
-                        state.frame[v as usize] = L::from_word(word);
+                let mut buf = Vec::new();
+                match read_frame_raw(&mut conn, &mut buf)? {
+                    RawFrame::Words(f) if f.kind == WordFrameKind::OwnedValues => {
+                        ok &= f.seq == cmd.seq
+                            && decode_into(&f, &state.owned, &[], &mut state.frame);
                     }
-                    for (src, values) in &halos {
-                        match state.recv_groups.iter().find(|(g, _)| g == src) {
-                            Some((_, ids)) if ids.len() == values.len() => {
-                                for (&v, &word) in ids.iter().zip(values) {
-                                    state.frame[v as usize] = L::from_word(word);
+                    other => return Err(protocol_violation(shard, "owned-values", &other)),
+                }
+                let mut filled = vec![false; state.recv_groups.len()];
+                for _ in 0..cmd.halo_batches {
+                    match read_frame_raw(&mut conn, &mut buf)? {
+                        RawFrame::Words(
+                            f @ WordFrame {
+                                kind: WordFrameKind::HaloBatch { src },
+                                ..
+                            },
+                        ) => {
+                            // A stale batch, one from a shard the plan
+                            // never names, a group sent twice or a wrong
+                            // cardinality rejects the round rather than
+                            // compute on garbage.
+                            let group = state.recv_groups.iter().position(|(g, _)| *g == src);
+                            ok &= match group {
+                                Some(i) if f.seq == cmd.seq && !filled[i] => {
+                                    filled[i] = true;
+                                    decode_into(&f, &state.recv_groups[i].1, &[], &mut state.frame)
                                 }
-                            }
-                            // A batch from a shard the plan never names,
-                            // or with the wrong cardinality: reject the
-                            // round rather than compute on garbage.
-                            _ => ok = false,
+                                _ => false,
+                            };
                         }
+                        other => return Err(protocol_violation(shard, "halo-batch", &other)),
                     }
+                }
+                drop(buf);
+                if cmd.mode == RoundMode::Diffusion {
+                    ok &= filled.iter().all(|&f| f);
                 }
                 if !ok {
                     write_done(&mut conn, cmd.seq, false)?;
                     continue;
                 }
                 // The round body: evaluate (diffusion) or read back
-                // (precomputed). A panic — kernel bug, poisoned values —
-                // is caught and reported, keeping the worker serving.
+                // (precomputed), straight into the Results frame. A panic
+                // — kernel bug, poisoned values — is caught and reported,
+                // keeping the worker serving.
                 let state_ref = &state;
                 let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let order = &state_ref.order;
                     match (cmd.mode, &state_ref.kernel) {
                         (RoundMode::Diffusion, Some((graph, gplan, divisors))) => {
                             let spec = GatherSpec {
                                 graph,
                                 slot_div: divisors,
                             };
-                            let mut out = Vec::with_capacity(state_ref.order.len());
+                            let mut results =
+                                WordWriter::new(WordFrameKind::Results, cmd.seq, order.len());
                             crate::kernels::gather_list(
                                 kind,
                                 gplan,
                                 &spec,
                                 &state_ref.frame,
-                                &state_ref.order,
-                                &mut |_, value| out.push(value),
+                                order,
+                                &mut |_, value: L| results.push(value.to_word()),
                             );
-                            out
+                            results.finish()
                         }
-                        _ => state_ref
-                            .order
-                            .iter()
-                            .map(|&v| state_ref.frame[v as usize])
-                            .collect(),
+                        _ => encode_words(
+                            WordFrameKind::Results,
+                            cmd.seq,
+                            order.iter().map(|&v| state_ref.frame[v as usize].to_word()),
+                        ),
                     }
                 }));
                 match computed {
                     Ok(results) => {
-                        let frame = Frame::Results {
-                            seq: cmd.seq,
-                            values: results.iter().map(|v| v.to_word()).collect(),
-                        };
-                        conn.write_all(&frame.encode()).map_err(WireError::Io)?;
+                        conn.write_all(&results).map_err(WireError::Io)?;
                         write_done(&mut conn, cmd.seq, true)?;
                     }
                     Err(_) => write_done(&mut conn, cmd.seq, false)?,
                 }
             }
             Ok(Frame::Exit) | Err(WireError::Closed) => return Ok(()),
-            Ok(other) => return Err(protocol_violation(shard, "round-cmd", &other)),
+            Ok(other) => {
+                return Err(protocol_violation(
+                    shard,
+                    "round-cmd",
+                    &RawFrame::Other(other),
+                ))
+            }
             Err(e) => return Err(e),
         }
     }
 }
 
+/// Decodes a value frame straight into `dest`: word `i` lands at the
+/// `i`-th id of `ids` ⧺ `tail`. A word count that differs from the id
+/// count writes nothing and returns false.
+fn decode_into<L: WireLoad>(
+    values: &WordFrame<'_>,
+    ids: &[u32],
+    tail: &[u32],
+    dest: &mut [L],
+) -> bool {
+    if values.len() != ids.len() + tail.len() {
+        return false;
+    }
+    let mut words = values.words();
+    for (&v, word) in ids.iter().zip(words.by_ref()) {
+        dest[v as usize] = L::from_word(word);
+    }
+    for (&v, word) in tail.iter().zip(words) {
+        dest[v as usize] = L::from_word(word);
+    }
+    true
+}
+
 fn write_done(conn: &mut WireStream, seq: u64, ok: bool) -> Result<(), WireError> {
     conn.write_all(&Frame::Done(DoneFrame { seq, ok }).encode())
         .map_err(WireError::Io)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Decodes `values` as a Results frame into a sentinel-filled vector
+    /// through the interior ⧺ boundary split `[2, 0] ⧺ [3]`.
+    fn decode_results(values: &[f64]) -> (bool, Vec<f64>) {
+        let bytes = encode_words(
+            WordFrameKind::Results,
+            5,
+            values.iter().map(|v| v.to_word()),
+        );
+        let mut buf = Vec::new();
+        let frame = match read_frame_raw(&mut bytes.as_slice(), &mut buf).unwrap() {
+            RawFrame::Words(f) => f,
+            other => panic!("decoded {other:?}"),
+        };
+        let mut out = vec![-1.0; 4];
+        let ok = decode_into(&frame, &[2, 0], &[3], &mut out);
+        (ok, out)
+    }
+
+    #[test]
+    fn results_land_in_interior_then_boundary_order() {
+        assert_eq!(
+            decode_results(&[10.0, 20.0, 30.0]),
+            (true, vec![20.0, -1.0, 10.0, 30.0])
+        );
+    }
+
+    #[test]
+    fn short_results_are_rejected_before_any_write() {
+        assert_eq!(decode_results(&[10.0, 20.0]), (false, vec![-1.0; 4]));
+        assert_eq!(decode_results(&[]), (false, vec![-1.0; 4]));
+    }
+
+    #[test]
+    fn long_results_are_rejected_before_any_write() {
+        assert_eq!(
+            decode_results(&[10.0, 20.0, 30.0, 40.0]),
+            (false, vec![-1.0; 4])
+        );
+    }
 }

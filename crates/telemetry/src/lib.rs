@@ -54,7 +54,9 @@ pub const DEFAULT_BINS: usize = 16;
 pub enum Phase {
     /// Partition/exchange plan (re)build — emitted only on cache misses.
     Plan,
-    /// Coordinator scattering owned slices to workers and collecting results.
+    /// Coordinator scattering owned slices to workers and collecting
+    /// results (message backend; the process backend's result fold is
+    /// part of [`Phase::Deserialize`]).
     ScatterOwned,
     /// Worker posting halo values to its neighbours.
     PostHalo,
@@ -80,8 +82,8 @@ pub enum Phase {
     /// Process backend: encoding + writing a worker's inbound wire
     /// frames (plan, round command, owned seed, halo batches).
     Serialize,
-    /// Process backend: reading + decoding a worker's result frames
-    /// (results, done receipt).
+    /// Process backend: reading a worker's result frames (results, done
+    /// receipt) and decoding the results straight into the output loads.
     Deserialize,
 }
 

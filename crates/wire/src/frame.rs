@@ -266,6 +266,25 @@ const T_COLLECTED: u8 = 9;
 const T_STATS: u8 = 10;
 const T_EXIT: u8 = 11;
 
+/// Stable name of a frame type tag (`"unknown"` for tags this version
+/// does not define).
+fn kind_name_of(kind: u8) -> &'static str {
+    match kind {
+        T_PLAN => "plan",
+        T_ROUND_CMD => "round-cmd",
+        T_OWNED => "owned-values",
+        T_HALO => "halo-batch",
+        T_DELTAS => "deltas",
+        T_COLLECT => "collect",
+        T_DONE => "done",
+        T_RESULTS => "results",
+        T_COLLECTED => "collected",
+        T_STATS => "stats",
+        T_EXIT => "exit",
+        _ => "unknown",
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Payload writer: appends little-endian primitives to a Vec<u8>.
 
@@ -369,6 +388,215 @@ impl<'a> Dec<'a> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Word-list value frames: the per-round traffic, written from and read
+// into the callers' load arrays without an intermediate `Vec<u64>`.
+
+/// Which of the three per-round value frames a word list travels in.
+/// [`Frame::encode`] and [`read_frame`] go through [`encode_words`] and
+/// [`read_frame_raw`] for these frame types, so each has exactly one
+/// byte layout implementation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WordFrameKind {
+    /// [`Frame::OwnedValues`].
+    OwnedValues,
+    /// [`Frame::HaloBatch`].
+    HaloBatch {
+        /// Source shard whose boundary values these are.
+        src: u32,
+    },
+    /// [`Frame::Results`].
+    Results,
+}
+
+impl WordFrameKind {
+    fn tag(self) -> u8 {
+        match self {
+            WordFrameKind::OwnedValues => T_OWNED,
+            WordFrameKind::HaloBatch { .. } => T_HALO,
+            WordFrameKind::Results => T_RESULTS,
+        }
+    }
+
+    /// Payload bytes ahead of the first word: `seq`, `src` (halo batches
+    /// only) and the `u32` word count.
+    fn header_len(self) -> usize {
+        match self {
+            WordFrameKind::HaloBatch { .. } => 8 + 4 + 4,
+            _ => 8 + 4,
+        }
+    }
+}
+
+/// Builds one word-list frame in a buffer allocated once at its exact
+/// final size: the envelope and header are written up front from the
+/// declared word count, then [`push`](WordWriter::push) appends one
+/// little-endian word at a time. This is the writer for producers that
+/// emit values through a callback (a gather kernel); iterator producers
+/// call [`encode_words`], which wraps it.
+#[derive(Debug)]
+pub struct WordWriter {
+    buf: Vec<u8>,
+    end: usize,
+}
+
+impl WordWriter {
+    /// Starts a `kind` frame under plan `seq` that will carry exactly
+    /// `count` words. Panics if the frame would exceed
+    /// [`MAX_FRAME_LEN`], which no reader accepts.
+    pub fn new(kind: WordFrameKind, seq: u64, count: usize) -> WordWriter {
+        let payload = kind.header_len().saturating_add(count.saturating_mul(8));
+        let len = u32::try_from(payload)
+            .ok()
+            .filter(|&len| len <= MAX_FRAME_LEN)
+            .expect("word frame longer than MAX_FRAME_LEN");
+        let end = 5 + payload;
+        let mut buf = Vec::with_capacity(end);
+        buf.push(kind.tag());
+        buf.extend_from_slice(&len.to_le_bytes());
+        buf.extend_from_slice(&seq.to_le_bytes());
+        if let WordFrameKind::HaloBatch { src } = kind {
+            buf.extend_from_slice(&src.to_le_bytes());
+        }
+        // `count` < `len`, which fits a u32.
+        buf.extend_from_slice(&(count as u32).to_le_bytes());
+        WordWriter { buf, end }
+    }
+
+    /// Appends one word (a load's bit pattern).
+    #[inline]
+    pub fn push(&mut self, word: u64) {
+        self.buf.extend_from_slice(&word.to_le_bytes());
+    }
+
+    /// The encoded frame. Panics if the pushed words do not match the
+    /// count declared to [`WordWriter::new`]: the length prefix is
+    /// already written, so a mismatch would put a corrupt frame on the
+    /// wire.
+    pub fn finish(self) -> Vec<u8> {
+        assert_eq!(
+            self.buf.len(),
+            self.end,
+            "word frame filled with the wrong number of words"
+        );
+        self.buf
+    }
+}
+
+/// Encodes one word-list frame from an exactly sized iterator of words —
+/// the only encoder of `OwnedValues`, `HaloBatch` and `Results` frames.
+pub fn encode_words<I: ExactSizeIterator<Item = u64>>(
+    kind: WordFrameKind,
+    seq: u64,
+    words: I,
+) -> Vec<u8> {
+    let mut w = WordWriter::new(kind, seq, words.len());
+    for word in words {
+        w.push(word);
+    }
+    w.finish()
+}
+
+/// A word-list frame whose words stay in the read buffer: the header is
+/// decoded and the word count bounds-checked against the payload, and
+/// [`words`](WordFrame::words) converts each word only as the caller
+/// consumes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WordFrame<'a> {
+    /// Which value frame this is (and, for halo batches, its source).
+    pub kind: WordFrameKind,
+    /// Plan seq the values belong to.
+    pub seq: u64,
+    /// Exactly the declared words, 8 little-endian bytes each.
+    bytes: &'a [u8],
+}
+
+impl<'a> WordFrame<'a> {
+    fn parse(tag: u8, payload: &'a [u8]) -> Result<WordFrame<'a>, WireError> {
+        let mut d = Dec::new(payload, tag);
+        let seq = d.u64()?;
+        let kind = match tag {
+            T_OWNED => WordFrameKind::OwnedValues,
+            T_HALO => WordFrameKind::HaloBatch { src: d.u32()? },
+            T_RESULTS => WordFrameKind::Results,
+            other => return Err(WireError::UnknownFrame { kind: other }),
+        };
+        let count = d.len(8)?;
+        let bytes = d.take(count * 8)?;
+        Ok(WordFrame { kind, seq, bytes })
+    }
+
+    /// Number of words.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / 8
+    }
+
+    /// True when the frame carries no words.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The raw words, in wire order.
+    pub fn words(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+    }
+
+    /// The owning [`Frame`] this view decodes to.
+    pub fn into_frame(self) -> Frame {
+        let values = self.words().collect();
+        match self.kind {
+            WordFrameKind::OwnedValues => Frame::OwnedValues {
+                seq: self.seq,
+                values,
+            },
+            WordFrameKind::HaloBatch { src } => Frame::HaloBatch {
+                seq: self.seq,
+                src,
+                values,
+            },
+            WordFrameKind::Results => Frame::Results {
+                seq: self.seq,
+                values,
+            },
+        }
+    }
+}
+
+/// One frame read by [`read_frame_raw`]: a value frame borrowing the read
+/// buffer, or any other frame decoded in full.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RawFrame<'a> {
+    /// `OwnedValues`, `HaloBatch` or `Results`.
+    Words(WordFrame<'a>),
+    /// Every other frame type.
+    Other(Frame),
+}
+
+impl RawFrame<'_> {
+    /// Frame type tag as it appears on the wire.
+    pub fn kind(&self) -> u8 {
+        match self {
+            RawFrame::Words(w) => w.kind.tag(),
+            RawFrame::Other(f) => f.kind(),
+        }
+    }
+
+    /// Stable name for tracing and error messages.
+    pub fn kind_name(&self) -> &'static str {
+        kind_name_of(self.kind())
+    }
+
+    /// The owning [`Frame`].
+    pub fn into_frame(self) -> Frame {
+        match self {
+            RawFrame::Words(w) => w.into_frame(),
+            RawFrame::Other(f) => f,
+        }
+    }
+}
+
 impl Frame {
     /// Frame type tag as it appears on the wire.
     pub fn kind(&self) -> u8 {
@@ -389,18 +617,18 @@ impl Frame {
 
     /// Stable name for tracing and error messages.
     pub fn kind_name(&self) -> &'static str {
+        kind_name_of(self.kind())
+    }
+
+    /// The three per-round value frames as `(kind, seq, words)`.
+    fn word_list(&self) -> Option<(WordFrameKind, u64, &[u64])> {
         match self {
-            Frame::Plan(_) => "plan",
-            Frame::RoundCmd(_) => "round-cmd",
-            Frame::OwnedValues { .. } => "owned-values",
-            Frame::HaloBatch { .. } => "halo-batch",
-            Frame::Deltas { .. } => "deltas",
-            Frame::Collect { .. } => "collect",
-            Frame::Done(_) => "done",
-            Frame::Results { .. } => "results",
-            Frame::Collected { .. } => "collected",
-            Frame::Stats { .. } => "stats",
-            Frame::Exit => "exit",
+            Frame::OwnedValues { seq, values } => Some((WordFrameKind::OwnedValues, *seq, values)),
+            Frame::HaloBatch { seq, src, values } => {
+                Some((WordFrameKind::HaloBatch { src: *src }, *seq, values))
+            }
+            Frame::Results { seq, values } => Some((WordFrameKind::Results, *seq, values)),
+            _ => None,
         }
     }
 
@@ -408,6 +636,9 @@ impl Frame {
     /// (`[type][len LE][payload]`) — written with a single `write_all`
     /// so byte counters see exactly one frame per call.
     pub fn encode(&self) -> Vec<u8> {
+        if let Some((kind, seq, values)) = self.word_list() {
+            return encode_words(kind, seq, values.iter().copied());
+        }
         let mut e = Enc::new();
         // Envelope placeholder: type + length patched after the payload.
         e.u8(self.kind());
@@ -446,14 +677,8 @@ impl Frame {
                 e.u8(c.mode.to_u8());
                 e.u32(c.halo_batches);
             }
-            Frame::OwnedValues { seq, values } => {
-                e.u64(*seq);
-                e.u64_list(values);
-            }
-            Frame::HaloBatch { seq, src, values } => {
-                e.u64(*seq);
-                e.u32(*src);
-                e.u64_list(values);
+            Frame::OwnedValues { .. } | Frame::HaloBatch { .. } | Frame::Results { .. } => {
+                unreachable!("value frames are encoded by encode_words above")
             }
             Frame::Deltas { seq, entries } => {
                 e.u64(*seq);
@@ -467,10 +692,6 @@ impl Frame {
             Frame::Done(d) => {
                 e.u64(d.seq);
                 e.u8(d.ok as u8);
-            }
-            Frame::Results { seq, values } => {
-                e.u64(*seq);
-                e.u64_list(values);
             }
             Frame::Collected { seq, values } => {
                 e.u64(*seq);
@@ -487,9 +708,10 @@ impl Frame {
         e.buf
     }
 
-    /// Decodes one frame payload. Trailing payload bytes beyond the
-    /// fields this version knows are ignored — the `dlb-wire/1` additive
-    /// forward-compatibility rule.
+    /// Decodes one payload of any frame type except the three word-list
+    /// frames, which [`read_frame_raw`] routes to `WordFrame::parse` instead.
+    /// Trailing payload bytes beyond the fields this version knows are
+    /// ignored — the `dlb-wire/1` additive forward-compatibility rule.
     fn decode(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
         let mut d = Dec::new(payload, kind);
         let frame = match kind {
@@ -542,15 +764,6 @@ impl Frame {
                 mode: RoundMode::from_u8(d.u8()?).ok_or_else(|| d.short())?,
                 halo_batches: d.u32()?,
             }),
-            T_OWNED => Frame::OwnedValues {
-                seq: d.u64()?,
-                values: d.u64_list()?,
-            },
-            T_HALO => Frame::HaloBatch {
-                seq: d.u64()?,
-                src: d.u32()?,
-                values: d.u64_list()?,
-            },
             T_DELTAS => {
                 let seq = d.u64()?;
                 let count = d.len(12)?;
@@ -565,10 +778,6 @@ impl Frame {
                 seq: d.u64()?,
                 ok: d.u8()? != 0,
             }),
-            T_RESULTS => Frame::Results {
-                seq: d.u64()?,
-                values: d.u64_list()?,
-            },
             T_COLLECTED => Frame::Collected {
                 seq: d.u64()?,
                 values: d.u64_list()?,
@@ -588,6 +797,18 @@ impl Frame {
 /// is [`WireError::Closed`] (the peer went away between frames); an EOF
 /// inside the envelope or payload is [`WireError::Truncated`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
+    read_frame_raw(r, &mut Vec::new()).map(RawFrame::into_frame)
+}
+
+/// Reads one frame into `buf` and returns value frames as a
+/// [`WordFrame`] borrowing it — no `Vec<u64>` is built — and every other
+/// frame decoded in full. Errors are exactly [`read_frame`]'s. `buf` may
+/// be reused across reads; it grows to the largest payload read through
+/// it and is never shrunk.
+pub fn read_frame_raw<'b, R: Read>(
+    r: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> Result<RawFrame<'b>, WireError> {
     let mut head = [0u8; 5];
     let mut got = 0;
     while got < head.len() {
@@ -604,15 +825,25 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
     if len > MAX_FRAME_LEN {
         return Err(WireError::Oversized { len });
     }
-    let mut payload = vec![0u8; len as usize];
-    match r.read_exact(&mut payload) {
+    let len = len as usize;
+    if buf.len() < len {
+        // A fresh zeroed allocation rather than a resize: the old
+        // contents are about to be overwritten anyway.
+        *buf = vec![0u8; len];
+    }
+    let payload = &mut buf[..len];
+    match r.read_exact(payload) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
             return Err(WireError::Truncated { frame: Some(kind) })
         }
         Err(e) => return Err(WireError::Io(e)),
     }
-    Frame::decode(kind, &payload)
+    let payload = &buf[..len];
+    match kind {
+        T_OWNED | T_HALO | T_RESULTS => WordFrame::parse(kind, payload).map(RawFrame::Words),
+        _ => Frame::decode(kind, payload).map(RawFrame::Other),
+    }
 }
 
 /// Writes the 16-byte worker handshake: magic, version, shard, reserved.
@@ -709,6 +940,26 @@ mod tests {
         bytes[1..5].copy_from_slice(&len.to_le_bytes());
         match read_frame(&mut bytes.as_slice()).unwrap() {
             Frame::Done(d) => assert_eq!(d, DoneFrame { seq: 9, ok: true }),
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    #[test]
+    fn trailing_payload_bytes_after_words_are_ignored() {
+        let mut bytes = encode_words(
+            WordFrameKind::HaloBatch { src: 4 },
+            9,
+            [1u64, 2].into_iter(),
+        );
+        bytes.extend_from_slice(&[0xAA; 5]);
+        let len = (bytes.len() - 5) as u32;
+        bytes[1..5].copy_from_slice(&len.to_le_bytes());
+        let mut buf = Vec::new();
+        match read_frame_raw(&mut bytes.as_slice(), &mut buf).unwrap() {
+            RawFrame::Words(w) => {
+                assert_eq!((w.kind, w.seq), (WordFrameKind::HaloBatch { src: 4 }, 9));
+                assert_eq!(w.words().collect::<Vec<_>>(), vec![1, 2]);
+            }
             other => panic!("decoded {other:?}"),
         }
     }

@@ -34,6 +34,12 @@
 //!   (`f64::to_bits` / `i64 as u64`), so the process backend's
 //!   bit-identity guarantee is byte-for-byte literal: what leaves the
 //!   coordinator is what the worker computes on.
+//! * The three per-round value frames (`OwnedValues`, `HaloBatch`,
+//!   `Results`) have one writer, [`encode_words`] (over [`WordWriter`]),
+//!   and one reader, [`read_frame_raw`], which hands back a
+//!   [`WordFrame`] borrowing its words from the read buffer. Callers use
+//!   them to encode from and decode into their own load arrays;
+//!   [`Frame::encode`] and [`read_frame`] delegate to the same pair.
 //!
 //! [`Transport`] selects the byte stream underneath — Unix domain
 //! sockets first, TCP loopback behind the same enum — and
@@ -51,6 +57,25 @@
 //! assert_eq!(back, frame);
 //! ```
 //!
+//! ## Streaming a value frame
+//!
+//! ```
+//! use dlb_wire::{encode_words, read_frame_raw, RawFrame, WordFrameKind};
+//!
+//! let loads = [0.5f64, -0.0, 3.25];
+//! let bytes = encode_words(WordFrameKind::Results, 7, loads.iter().map(|x| x.to_bits()));
+//! let mut buf = Vec::new();
+//! let RawFrame::Words(frame) = read_frame_raw(&mut bytes.as_slice(), &mut buf).unwrap() else {
+//!     unreachable!("a results frame is a word frame");
+//! };
+//! assert_eq!((frame.kind, frame.seq, frame.len()), (WordFrameKind::Results, 7, 3));
+//! let mut out = [0.0f64; 3];
+//! for (slot, word) in out.iter_mut().zip(frame.words()) {
+//!     *slot = f64::from_bits(word);
+//! }
+//! assert_eq!(out.map(f64::to_bits), loads.map(f64::to_bits));
+//! ```
+//!
 //! [`Backend::Process`]: https://docs.rs/dlb-core "dlb_core::engine::Backend::Process"
 //! [`CommMetrics`]: https://docs.rs/dlb-core "dlb_core::engine::CommMetrics"
 
@@ -58,8 +83,9 @@ mod frame;
 mod transport;
 
 pub use frame::{
-    read_frame, read_hello, read_hello_ack, write_hello, write_hello_ack, DoneFrame, Frame, Hello,
-    HelloAck, KernelPlan, LoadType, PlanFrame, RoundCmdFrame, RoundMode, MAGIC, MAX_FRAME_LEN,
+    encode_words, read_frame, read_frame_raw, read_hello, read_hello_ack, write_hello,
+    write_hello_ack, DoneFrame, Frame, Hello, HelloAck, KernelPlan, LoadType, PlanFrame, RawFrame,
+    RoundCmdFrame, RoundMode, WordFrame, WordFrameKind, WordWriter, MAGIC, MAX_FRAME_LEN,
     WIRE_SCHEMA, WIRE_VERSION,
 };
 pub use transport::{CountingStream, Transport, WireListener, WireStream};

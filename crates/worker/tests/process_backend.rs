@@ -10,7 +10,8 @@
 //! what only a live fleet can: the TCP transport, wire-level comm
 //! accounting, worker death mid-round surfacing as a *typed* engine
 //! error within bounded time, handshake rejection of malformed peers,
-//! and the scenario layer's gating of the new backend.)
+//! rejected rounds that leave a worker serving, and the scenario layer's
+//! gating of the new backend.)
 
 use std::time::{Duration, Instant};
 
@@ -18,7 +19,10 @@ use dlb_core::continuous::ContinuousDiffusion;
 use dlb_core::engine::{Backend, Engine, EnginePhase};
 use dlb_core::Transport;
 use dlb_graphs::{topology, PartitionSpec};
-use dlb_wire::{read_hello, WireError, WireListener, WireStream, MAGIC};
+use dlb_wire::{
+    read_frame, read_hello, DoneFrame, Frame, KernelPlan, LoadType, PlanFrame, RoundCmdFrame,
+    RoundMode, WireError, WireListener, WireStream, MAGIC,
+};
 
 /// Points the coordinator at the worker binary cargo built for these
 /// tests. Every test that spawns workers calls this first.
@@ -130,6 +134,28 @@ fn killed_worker_mid_run_yields_typed_error_not_deadlock() {
     assert!(engine.comm_metrics().is_some());
 }
 
+#[test]
+fn failed_process_round_leaves_loads_untouched() {
+    // Results decode straight into the engine's back buffer, so a round
+    // that fails must still never reach the caller's vector.
+    let g = topology::torus2d(6, 6);
+    let mut loads = spike(g.n());
+    let mut engine =
+        Engine::with_backend(ContinuousDiffusion::new(&g), process(4, Transport::Unix));
+    engine.try_round(&mut loads).expect("healthy round");
+    let before: Vec<u64> = loads.iter().map(|x| x.to_bits()).collect();
+
+    // The last shard dies, so every other shard has been sent its round.
+    engine.process_kill_worker(3);
+    let err = engine
+        .try_round(&mut loads)
+        .expect_err("round over a dead worker must fail");
+    assert_eq!(err.shard, 3);
+    assert_eq!(err.phase, EnginePhase::Wire);
+    let after: Vec<u64> = loads.iter().map(|x| x.to_bits()).collect();
+    assert_eq!(after, before, "a failed round modified the caller's loads");
+}
+
 // ---------------------------------------------------------------------------
 // Handshake rejection: each corruption mode is a distinct typed error
 // ---------------------------------------------------------------------------
@@ -227,6 +253,176 @@ fn eof_between_frames_is_an_orderly_shutdown() {
         .join()
         .expect("worker thread")
         .expect("clean EOF exit");
+}
+
+// ---------------------------------------------------------------------------
+// Rejected rounds: answered with Done{ok: false}, worker keeps serving
+// ---------------------------------------------------------------------------
+
+/// Shard 0's diffusion plan on the path 0-1-2-3 split {0, 1} | {2, 3}:
+/// node 0 is interior, node 1 is boundary and reads halo node 2 from
+/// shard 1.
+fn path_plan() -> PlanFrame {
+    let edges = vec![(0, 1), (1, 2), (2, 3)];
+    let graph = dlb_graphs::Graph::from_edges(4, edges.iter().copied()).unwrap();
+    PlanFrame {
+        seq: 1,
+        shard: 0,
+        n: 4,
+        load_type: LoadType::F64,
+        owned: vec![0, 1],
+        interior: vec![0],
+        boundary: vec![1],
+        recv_groups: vec![(1, vec![2])],
+        kernel: Some(KernelPlan {
+            fingerprint: dlb_graphs::partition::graph_fingerprint(&graph),
+            divisors: vec![4.0f64.to_bits(); graph.degree_sum()],
+            edges,
+        }),
+    }
+}
+
+fn words(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+fn send(stream: &mut WireStream, frame: Frame) {
+    use std::io::Write;
+    stream.write_all(&frame.encode()).unwrap();
+}
+
+fn round_cmd(seq: u64) -> Frame {
+    Frame::RoundCmd(RoundCmdFrame {
+        seq,
+        round: seq,
+        mode: RoundMode::Diffusion,
+        halo_batches: 1,
+    })
+}
+
+/// Drives a live worker through one round made of `bad` (owned seed
+/// plus one halo batch, announced under seq 2), then a valid round
+/// under seq 3 on the same connection, then `Exit`. The bad round must
+/// be answered with a lone `Done{ok: false}`, the valid one with
+/// results and `Done{ok: true}`, and the worker must shut down cleanly.
+fn rejected_round_then_valid(bad: [Frame; 2]) {
+    let listener = WireListener::bind(Transport::Unix).expect("bind");
+    let endpoint = listener.endpoint();
+    let worker = std::thread::spawn(move || {
+        let stream = WireStream::connect(&endpoint).expect("connect");
+        dlb_core::run_worker(stream, 0)
+    });
+    let mut stream = listener.accept().expect("accept");
+    read_hello(&mut stream).expect("hello");
+    dlb_wire::write_hello_ack(&mut stream).unwrap();
+    send(&mut stream, Frame::Plan(path_plan()));
+
+    send(&mut stream, round_cmd(2));
+    for frame in bad {
+        send(&mut stream, frame);
+    }
+    assert_eq!(
+        read_frame(&mut stream).expect("reply to the bad round"),
+        Frame::Done(DoneFrame { seq: 2, ok: false })
+    );
+
+    // Uniform loads are a fixed point of diffusion, so exact 1.0 results
+    // also prove the bad round's values were all overwritten.
+    send(&mut stream, round_cmd(3));
+    send(
+        &mut stream,
+        Frame::OwnedValues {
+            seq: 3,
+            values: words(&[1.0, 1.0]),
+        },
+    );
+    send(
+        &mut stream,
+        Frame::HaloBatch {
+            seq: 3,
+            src: 1,
+            values: words(&[1.0]),
+        },
+    );
+    assert_eq!(
+        read_frame(&mut stream).expect("results of the valid round"),
+        Frame::Results {
+            seq: 3,
+            values: words(&[1.0, 1.0]),
+        }
+    );
+    assert_eq!(
+        read_frame(&mut stream).expect("done of the valid round"),
+        Frame::Done(DoneFrame { seq: 3, ok: true })
+    );
+    send(&mut stream, Frame::Exit);
+    worker
+        .join()
+        .expect("worker thread")
+        .expect("worker survives a rejected round");
+}
+
+#[test]
+fn wrong_cardinality_owned_frame_is_rejected_and_worker_serves_on() {
+    rejected_round_then_valid([
+        Frame::OwnedValues {
+            seq: 2,
+            values: words(&[9e9, 9e9, 9e9]),
+        },
+        Frame::HaloBatch {
+            seq: 2,
+            src: 1,
+            values: words(&[9e9]),
+        },
+    ]);
+}
+
+#[test]
+fn wrong_cardinality_halo_batch_is_rejected_and_worker_serves_on() {
+    rejected_round_then_valid([
+        Frame::OwnedValues {
+            seq: 2,
+            values: words(&[9e9, 9e9]),
+        },
+        Frame::HaloBatch {
+            seq: 2,
+            src: 1,
+            values: words(&[9e9, 9e9]),
+        },
+    ]);
+}
+
+#[test]
+fn halo_from_unplanned_source_is_rejected_and_worker_serves_on() {
+    rejected_round_then_valid([
+        Frame::OwnedValues {
+            seq: 2,
+            values: words(&[9e9, 9e9]),
+        },
+        Frame::HaloBatch {
+            seq: 2,
+            src: 7,
+            values: words(&[9e9]),
+        },
+    ]);
+}
+
+#[test]
+fn stale_seq_owned_frame_is_rejected_and_worker_serves_on() {
+    // The round's halo batch still follows the stale seed: the worker
+    // must drain it before acking, or it reads the batch as the next
+    // round command and exits.
+    rejected_round_then_valid([
+        Frame::OwnedValues {
+            seq: 1,
+            values: words(&[9e9, 9e9]),
+        },
+        Frame::HaloBatch {
+            seq: 2,
+            src: 1,
+            values: words(&[9e9]),
+        },
+    ]);
 }
 
 // ---------------------------------------------------------------------------
