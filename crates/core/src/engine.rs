@@ -376,13 +376,12 @@ impl<'a> StatsCtx<'a> {
     /// Blocked (optionally pooled) sum `Σ_{i<n} f(i)` — the building block
     /// for weighted potentials.
     pub fn sum(&self, n: usize, f: impl Fn(usize) -> f64 + Sync) -> f64 {
-        potential::blocked_reduce(
+        let f = &f;
+        potential::fold_blocks(
             n,
             self.pool,
-            |b| {
-                let (s, e) = potential::block_bounds(b, n);
-                (s..e).map(&f).sum::<f64>()
-            },
+            -0.0,
+            |r| move |acc, i| acc + f(r.start + i),
             |a, b| a + b,
             0.0,
         )
@@ -394,16 +393,16 @@ impl<'a> StatsCtx<'a> {
         if !self.flows_wanted() {
             return FlowTally::default();
         }
-        potential::blocked_reduce(
+        potential::fold_blocks(
             m,
             self.pool,
-            |b| {
-                let (s, e) = potential::block_bounds(b, m);
-                let mut tally = FlowTally::default();
-                for k in s..e {
-                    tally.add(flow(k));
+            FlowTally::default(),
+            |r| {
+                let flow = &flow;
+                move |mut tally: FlowTally, i| {
+                    tally.add(flow(r.start + i));
+                    tally
                 }
-                tally
             },
             FlowTally::merge,
             FlowTally::default(),
@@ -416,16 +415,16 @@ impl<'a> StatsCtx<'a> {
         if !self.flows_wanted() {
             return TokenTally::default();
         }
-        potential::blocked_reduce(
+        potential::fold_blocks(
             m,
             self.pool,
-            |b| {
-                let (s, e) = potential::block_bounds(b, m);
-                let mut tally = TokenTally::default();
-                for k in s..e {
-                    tally.add(tokens(k));
+            TokenTally::default(),
+            |r| {
+                let tokens = &tokens;
+                move |mut tally: TokenTally, i| {
+                    tally.add(tokens(r.start + i));
+                    tally
                 }
-                tally
             },
             TokenTally::merge,
             TokenTally::default(),
@@ -3458,6 +3457,12 @@ pub struct FlowTally {
     pub max: f64,
 }
 
+/// The flow tally's `total` is a floating-point chain: lockstep blocks
+/// hide its add latency.
+impl potential::Partial for FlowTally {
+    const LOCKSTEP: bool = true;
+}
+
 impl FlowTally {
     /// Tallies an iterator of per-edge transfer amounts — the linear form
     /// used by the reference (per-link) round implementations. Engine
@@ -3471,14 +3476,16 @@ impl FlowTally {
         tally
     }
 
-    /// Records one edge's transfer amount.
+    /// Records one edge's transfer amount; only positive amounts count.
+    ///
+    /// Branch-free: a non-positive (or NaN) `w` adds 0 to `active` and
+    /// −0.0 to `total`, the exact identity of `+`, and leaves `max`.
     #[inline]
     pub fn add(&mut self, w: f64) {
-        if w > 0.0 {
-            self.active += 1;
-            self.total += w;
-            self.max = self.max.max(w);
-        }
+        let moved = w > 0.0;
+        self.active += usize::from(moved);
+        self.total += if moved { w } else { -0.0 };
+        self.max = if moved && w > self.max { w } else { self.max };
     }
 
     /// Combines two block partials (in block order: `self` is the prefix).
@@ -3511,6 +3518,11 @@ pub struct TokenTally {
     pub total: u64,
     /// Largest single-edge token transfer.
     pub max: u64,
+}
+
+/// Exact integer counters: no latency for lockstep blocks to hide.
+impl potential::Partial for TokenTally {
+    const LOCKSTEP: bool = false;
 }
 
 impl TokenTally {

@@ -37,6 +37,7 @@ use dlb_core::engine::{Engine, LoadPotential, Protocol, StatsMode};
 use dlb_core::heterogeneous::HeterogeneousDiffusion;
 use dlb_core::init;
 use dlb_core::model::{DiscreteRoundStats, RoundStats};
+use dlb_core::potential::{summary, SummaryLoad};
 use dlb_dynamics::runner::{DynamicContinuousDiffusion, DynamicDiscreteDiffusion};
 use dlb_dynamics::{ChurnSchedule, GraphSequence, ShardChurnSequence, StaticSequence};
 use dlb_telemetry::{Phase as SpanPhase, Telemetry, TraceSummary, ENGINE_LANE};
@@ -168,7 +169,7 @@ where
     let mut prev_loads: Vec<P::Load> = Vec::new();
     let mut deltas: Vec<(u32, P::Load)> = Vec::new();
     let ctx = WorkloadCtx {
-        initial_total: P::Load::total(loads),
+        initial_total: summary(loads).total,
     };
     let initial_total = ctx.initial_total;
     let phi0 = engine.potential(loads).phi_f64();
@@ -238,17 +239,15 @@ where
             totals.wire_bytes_out += c.wire_bytes_out as u64;
             totals.wire_bytes_in += c.wire_bytes_in as u64;
         }
+        // The runner's own bookkeeping: Φ when the round computed no
+        // stats, then one sweep for the total and the extremes.
+        let t0 = tel.start();
         let (phi, moved) = match &stats {
             Some(s) => (s.phi_after_f64(), s.moved_f64()),
             None => (engine.potential(loads).phi_f64(), 0.0),
         };
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for v in loads.iter() {
-            let x = v.to_f64();
-            min = min.min(x);
-            max = max.max(x);
-        }
-        let total = P::Load::total(loads);
+        let sweep = summary(loads);
+        tel.record(ENGINE_LANE, round, SpanPhase::Stats, t0);
         injected_total += delta.injected;
         consumed_total += delta.consumed;
         migrated_total += moved;
@@ -259,8 +258,8 @@ where
             consumed: delta.consumed,
             migrated: moved,
             phi,
-            imbalance: max - min,
-            total,
+            imbalance: sweep.max.to_f64() - sweep.min.to_f64(),
+            total: sweep.total,
         });
         recent.push_back(phi);
         if recent.len() > band_window {

@@ -14,7 +14,7 @@ use dlb_core::continuous::ContinuousDiffusion;
 use dlb_core::engine::{Backend, Engine, StatsMode};
 use dlb_core::telemetry::{Phase, Telemetry, ENGINE_LANE};
 use dlb_graphs::{topology, Graph, PartitionSpec};
-use dlb_workloads::{Scenario, TelemetrySpec};
+use dlb_workloads::{Scenario, ScenarioRunner, TelemetrySpec};
 use proptest::prelude::*;
 
 const SHARDS: usize = 4;
@@ -233,4 +233,47 @@ fn traced_fault_scenario_matches_untraced_run_exactly() {
         t.phases
     );
     assert!(t.busy_imbalance_mean.is_some(), "shard lanes present");
+}
+
+#[test]
+fn runner_bookkeeping_is_one_stats_span_per_round_and_changes_nothing() {
+    // With stats off the engine records no stats span of its own, so every
+    // engine-lane stats span is the runner's post-round bookkeeping: the
+    // on-demand Φ plus the total/min/max sweep. One per round, on every
+    // shared-memory backend, and the traced trajectory is the untraced one
+    // bit for bit.
+    let sc = Scenario::builtin("bursty-torus").unwrap();
+    for backend in [Backend::Serial, Backend::Pool { threads: 3 }] {
+        let runner = ScenarioRunner::new(sc.clone())
+            .with_exec(backend)
+            .with_stats(StatsMode::Off);
+        let plain = runner.run().unwrap();
+        let tel = Telemetry::armed(1, 1 << 16);
+        let traced = runner.with_telemetry(tel.clone()).run().unwrap();
+
+        let bits = |r: &dlb_workloads::ScenarioReport| -> Vec<u64> {
+            r.phi_trace.iter().map(|p| p.to_bits()).collect()
+        };
+        assert_eq!(bits(&plain), bits(&traced), "{backend:?}: Φ trace diverged");
+        assert_eq!(plain.to_jsonl(), {
+            let mut t = traced.clone();
+            t.telemetry = None;
+            t.to_jsonl()
+        });
+
+        let events = tel.recorder().expect("armed").events();
+        let mut per_round = vec![0usize; traced.rounds + 1];
+        for e in events
+            .iter()
+            .filter(|e| e.phase == Phase::Stats && e.lane == ENGINE_LANE)
+        {
+            per_round[e.round as usize] += 1;
+        }
+        assert_eq!(per_round[0], 0, "{backend:?}: stats span outside a round");
+        assert!(
+            per_round[1..].iter().all(|&c| c == 1),
+            "{backend:?}: stats spans per round {:?}",
+            &per_round[1..]
+        );
+    }
 }
