@@ -1248,7 +1248,8 @@ enum OwnedIn<L> {
 enum CollectMode {
     /// Report nothing — resident steady state (stats off, no reader).
     None,
-    /// Report the gathered new loads (every legacy round).
+    /// Report the gathered new loads (every legacy round, and resident
+    /// rounds whose caller reads the loads next).
     New,
     /// Report the new loads **and** the round-start owned values
     /// (resident stats/collect rounds: `compute_stats` and load-reading
@@ -1266,8 +1267,9 @@ struct RoundCmd<L> {
     /// What the round report carries back.
     collect: CollectMode,
     /// Freed buffers riding back to the worker's free list (the
-    /// coordinator returns the vectors it consumed from earlier reports,
-    /// so steady-state rounds recycle instead of allocating).
+    /// coordinator returns the vectors this worker's earlier reports and
+    /// collect replies carried, so steady-state rounds recycle instead
+    /// of allocating).
     recycle: Vec<Vec<L>>,
     /// The coordinator's round-attempt sequence number. Halo batches and
     /// reports carry it so anything from a past attempt — a straggler's
@@ -1387,14 +1389,25 @@ struct WorkerDone<L> {
 /// collect capture — without hoarding `O(n)`-capacity vectors.
 const MSG_FREE_CAP: usize = 8;
 
-/// Pops a recycled buffer (cleared) from a free list, or allocates.
-fn pooled<L>(free: &mut Vec<Vec<L>>) -> Vec<L> {
-    match free.pop() {
-        Some(mut v) => {
+/// Takes a cleared buffer with room for `need` values from a free list:
+/// the smallest one that fits, so halo posts leave the owned-sized
+/// buffers to the results and collect captures; allocates only when
+/// none fits.
+fn pooled<L>(free: &mut Vec<Vec<L>>, need: usize) -> Vec<L> {
+    let fit = (0..free.len())
+        .filter(|&i| free[i].capacity() >= need)
+        .min_by_key(|&i| free[i].capacity());
+    match fit {
+        Some(i) => {
+            let mut v = free.swap_remove(i);
             v.clear();
             v
         }
-        None => Vec::new(),
+        None => {
+            #[cfg(test)]
+            tests::count_fresh_buffer(need);
+            Vec::with_capacity(need)
+        }
     }
 }
 
@@ -1481,7 +1494,7 @@ fn message_worker_round<L: Copy>(
     // load-reading hooks.
     let mut prev: Vec<L> = Vec::new();
     if cmd.collect == CollectMode::Both {
-        prev = pooled(free);
+        prev = pooled(free, view.owned().len());
         prev.extend(view.owned().iter().map(|&v| frame[v as usize]));
     }
 
@@ -1502,7 +1515,7 @@ fn message_worker_round<L: Copy>(
             // invisible, since batches are keyed by source shard.
             let i = if reorder { schedule.len() - 1 - i } else { i };
             let (dest, ids) = &schedule[i];
-            let mut values = pooled(free);
+            let mut values = pooled(free, ids.len());
             values.extend(ids.iter().map(|&v| frame[v as usize]));
             if duplicate {
                 messages += 1;
@@ -1528,8 +1541,7 @@ fn message_worker_round<L: Copy>(
     tel.record(lane, cmd.round, SpanPhase::PostHalo, t_post);
 
     let kernel = &cmd.kernel;
-    let mut results = pooled(free);
-    results.reserve(view.owned().len());
+    let mut results = pooled(free, view.owned().len());
     let gather = |nodes: &[u32], results: &mut Vec<L>, frame: &[L], ok: &mut bool| {
         // Gather straight into the (pooled) report buffer — no
         // per-segment staging vector. A panicking kernel may leave a
@@ -1734,7 +1746,7 @@ fn message_worker<L: Copy + Default + Send + 'static>(
                     // is quiescent here.
                     let current = plan.as_ref().expect("plan precedes the first collect");
                     let view = &current.views()[shard];
-                    let mut values = pooled(&mut free);
+                    let mut values = pooled(&mut free, view.owned().len());
                     values.extend(view.owned().iter().map(|&v| frame[v as usize]));
                     if done
                         .send(FromWorker::Collected { shard, seq, values })
@@ -1837,9 +1849,14 @@ struct MessageExec<L> {
     /// routing. `None` until the session's first round (and after any
     /// [`Engine::resident_end`]).
     seeded: Option<ResidentSeed>,
-    /// Coordinator-side buffer free list, fed by consumed report
-    /// vectors; drawn on for owned dispatch slices and recycle rides.
+    /// Coordinator-side buffer free list, fed by consumed legacy report
+    /// vectors; drawn on for owned dispatch slices.
     free: Vec<Vec<L>>,
+    /// Per shard, the buffers its resident reports and collect replies
+    /// carried here, riding back to that same worker on its next round
+    /// command — each worker gets its own owned-sized buffers back, so
+    /// its steady-state rounds never allocate.
+    returns: Vec<Vec<Vec<L>>>,
 }
 
 /// What the worker frames are currently seeded under (resident sessions).
@@ -1904,6 +1921,7 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
             resident_backend,
             seeded: None,
             free: Vec::new(),
+            returns: (0..shards).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -2002,7 +2020,7 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
                 self.respawn(s, &plan);
                 fault_stats.recoveries += 1;
             }
-            let mut owned = pooled(&mut self.free);
+            let mut owned = pooled(&mut self.free, plan.views()[s].owned().len());
             owned.extend(
                 plan.views()[s]
                     .owned()
@@ -2014,7 +2032,7 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
                 kernel: kernels(),
                 owned: OwnedIn::Values(owned),
                 collect: CollectMode::New,
-                recycle: Vec::new(),
+                recycle: std::mem::take(&mut self.returns[s]),
                 seq,
                 faults: std::mem::take(pending_faults),
                 nack_after,
@@ -2189,11 +2207,12 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
     /// One **resident** round: no owned values travel in (a seeding
     /// round ships the mirror once; steady-state rounds ship only the
     /// routed workload deltas) and owned values travel back only under
-    /// `collect` — [`CollectMode::Both`] scatters the round-start values
-    /// into `prev_out` and the new loads into `mirror`. Never
-    /// supervised: the engine rejects resident rounds under an armed
-    /// fault plan, because recovery re-homes shards from a round-start
-    /// snapshot the coordinator deliberately no longer holds.
+    /// `collect` — [`CollectMode::New`] scatters the new loads into
+    /// `mirror`, [`CollectMode::Both`] also the round-start values into
+    /// `prev_out`. Never supervised: the engine rejects resident rounds
+    /// under an armed fault plan, because recovery re-homes shards from
+    /// a round-start snapshot the coordinator deliberately no longer
+    /// holds.
     #[allow(clippy::too_many_arguments)]
     fn resident_round(
         &mut self,
@@ -2253,32 +2272,27 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
         }
         for (s, deltas) in routed.into_iter().enumerate() {
             let owned = if seed {
-                let mut owned = pooled(&mut self.free);
-                owned.extend(plan.views()[s].owned().iter().map(|&v| mirror[v as usize]));
+                // The seed slice reuses a buffer this shard sent back
+                // (its last session's results), so every session does
+                // not add an owned-sized buffer to the worker's pool.
+                let view = &plan.views()[s];
+                let source = if self.returns[s].is_empty() {
+                    &mut self.free
+                } else {
+                    &mut self.returns[s]
+                };
+                let mut owned = pooled(source, view.owned().len());
+                owned.extend(view.owned().iter().map(|&v| mirror[v as usize]));
                 comm.owned_values_in += owned.len();
                 OwnedIn::Values(owned)
             } else {
                 OwnedIn::Deltas(deltas)
             };
-            // Hand back as many buffers as this round's report will
-            // consume, so steady-state collect rounds stay allocation-free.
-            let rides = match collect {
-                CollectMode::None => 0,
-                CollectMode::New => 1,
-                CollectMode::Both => 2,
-            };
-            let mut recycle = Vec::new();
-            for _ in 0..rides {
-                match self.free.pop() {
-                    Some(v) => recycle.push(v),
-                    None => break,
-                }
-            }
             let cmd = ToWorker::Round(Box::new(RoundCmd {
                 kernel: kernels(),
                 owned,
                 collect,
-                recycle,
+                recycle: std::mem::take(&mut self.returns[s]),
                 seq,
                 faults: Vec::new(),
                 nack_after: None,
@@ -2304,10 +2318,16 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
         }
 
         // Barrier: always blocking — resident rounds are never
-        // supervised.
-        let mut reports: Vec<Option<WorkerDone<L>>> = (0..shards).map(|_| None).collect();
+        // supervised. On read and stats rounds each report is scattered
+        // as it arrives — new loads into the mirror, on stats rounds the
+        // round-start values into `prev_out` — so the coordinator's copy
+        // overlaps the shards still computing. Only successful shards
+        // scatter (and only they advanced their frames), so after a
+        // failed round the mirror still equals what the frames hold.
+        let mut reported = vec![false; shards];
         let mut outstanding = shards;
         let mut failed: Option<usize> = None;
+        let (mut collect_start, mut collect_ns) = (None, 0);
         while outstanding > 0 {
             match self
                 .from_workers
@@ -2315,19 +2335,39 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
                 .expect("message worker exited early")
             {
                 FromWorker::Done(report) => {
-                    if report.seq != seq || reports[report.shard].is_some() {
+                    if report.seq != seq || reported[report.shard] {
                         continue;
                     }
-                    if !report.ok {
-                        failed.get_or_insert(report.shard);
-                    }
+                    reported[report.shard] = true;
+                    outstanding -= 1;
                     comm.messages += report.messages;
                     comm.values_sent += report.values_sent;
                     comm.max_shard_values_sent = comm.max_shard_values_sent.max(report.values_sent);
                     comm.owned_values_out += report.results.len() + report.prev.len();
-                    outstanding -= 1;
-                    let shard = report.shard;
-                    reports[shard] = Some(report);
+                    if !report.ok {
+                        failed.get_or_insert(report.shard);
+                        continue;
+                    }
+                    if collect == CollectMode::None {
+                        continue;
+                    }
+                    let t0 = tel.start();
+                    let view = &plan.views()[report.shard];
+                    debug_assert_eq!(report.results.len(), view.owned().len());
+                    if collect == CollectMode::Both {
+                        debug_assert_eq!(report.prev.len(), view.owned().len());
+                        for (&v, &value) in view.owned().iter().zip(report.prev.iter()) {
+                            prev_out[v as usize] = value;
+                        }
+                        self.returns[report.shard].push(report.prev);
+                    }
+                    let order = view.interior().iter().chain(view.boundary());
+                    for (&v, &value) in order.zip(report.results.iter()) {
+                        mirror[v as usize] = value;
+                    }
+                    self.returns[report.shard].push(report.results);
+                    collect_start.get_or_insert(t0);
+                    collect_ns += tel.start() - t0;
                 }
                 FromWorker::Collected { .. } | FromWorker::MissingHalo { .. } => {
                     // Stale sync answers / nacks cannot occur on the
@@ -2335,36 +2375,20 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
                 }
             }
         }
+        if let Some(t0) = collect_start {
+            // One span per round: its length is the scatter work alone,
+            // not the waits between reports.
+            tel.record_dur(ENGINE_LANE, round_no, SpanPhase::Collect, t0, collect_ns);
+        }
         comm.halo_bytes = comm.values_sent * std::mem::size_of::<L>();
-        if collect == CollectMode::Both {
+        if collect != CollectMode::None {
             comm.collects = 1;
         }
         self.last_comm = Some(comm);
-        if let Some(shard) = failed {
-            return Err(shard);
+        match failed {
+            Some(shard) => Err(shard),
+            None => Ok(()),
         }
-
-        // Collect half (stats/read rounds only): scatter the round-start
-        // values into `prev_out` and the new loads into the mirror.
-        if collect == CollectMode::Both {
-            let t_collect = tel.start();
-            for (view, report) in plan.views().iter().zip(reports) {
-                let report = report.expect("every shard reported");
-                debug_assert_eq!(report.prev.len(), view.owned().len());
-                debug_assert_eq!(report.results.len(), view.owned().len());
-                for (&v, &value) in view.owned().iter().zip(report.prev.iter()) {
-                    prev_out[v as usize] = value;
-                }
-                let order = view.interior().iter().chain(view.boundary());
-                for (&v, &value) in order.zip(report.results.iter()) {
-                    mirror[v as usize] = value;
-                }
-                recycle_into(&mut self.free, report.prev);
-                recycle_into(&mut self.free, report.results);
-            }
-            tel.record(ENGINE_LANE, round_no, SpanPhase::Collect, t_collect);
-        }
-        Ok(())
     }
 
     /// Out-of-round sync: collects every worker's current owned values
@@ -2372,6 +2396,8 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
     /// ownership the frames actually hold, which may lag the current
     /// plan across a graph change. Traffic is folded into the last
     /// round's [`CommMetrics`], where the next metrics read will see it.
+    /// Each reply's buffer rides back to its worker on the next round
+    /// command.
     fn collect_resident(&mut self, out: &mut [L], tel: &Telemetry, round_no: u64) {
         let plan = self
             .seeded
@@ -2406,7 +2432,7 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
                     for (&v, &value) in view.owned().iter().zip(values.iter()) {
                         out[v as usize] = value;
                     }
-                    recycle_into(&mut self.free, values);
+                    self.returns[shard].push(values);
                     outstanding -= 1;
                 }
                 FromWorker::Done(_) | FromWorker::MissingHalo { .. } => {
@@ -3179,13 +3205,16 @@ impl<P: Protocol> Engine<P> {
     /// shard workers take persistent ownership of their load slices, and
     /// subsequent [`Engine::round_resident`] calls ship only a compact
     /// command (plus any workload deltas queued through
-    /// [`Engine::resident_apply`]) instead of copying all `n` owned
-    /// values in and out every round. Owned values travel back only when
-    /// something needs them — a stats-on round per the [`StatsMode`], a
-    /// protocol whose hooks read loads ([`Protocol::hooks_read_loads`]),
-    /// an explicit [`Engine::resident_sync`] / [`Engine::resident_loads`]
-    /// read, or [`Engine::resident_end`] — so steady-state rounds move
-    /// halo-sized, not `n`-sized, traffic. Loads and statistics stay
+    /// [`Engine::resident_apply`] or [`Engine::resident_touch`]) instead
+    /// of copying all `n` owned values in and out every round. Owned
+    /// values travel back only when something needs them — a stats-on
+    /// round per the [`StatsMode`], a protocol whose hooks read loads
+    /// ([`Protocol::hooks_read_loads`]), a caller that reads the loads
+    /// after every round ([`Engine::round_resident_synced`] brings them
+    /// back inside the round reply), an explicit
+    /// [`Engine::resident_sync`] / [`Engine::resident_loads`] read, or
+    /// [`Engine::resident_end`] — so steady-state rounds move halo-sized,
+    /// not `n`-sized, traffic. Loads and statistics stay
     /// bit-identical to [`Engine::round`] on every mode: the same kernel
     /// runs per node from the same frame values, and collect rounds
     /// reassemble the exact snapshot/new-loads pair the legacy swap
@@ -3236,7 +3265,9 @@ impl<P: Protocol> Engine<P> {
     /// to the owning workers with the next round command (the
     /// delta-sized replacement for rewriting all owned values), exactly
     /// as if the caller had mutated the load vector before a legacy
-    /// round.
+    /// round. A caller that edits the loads in place uses
+    /// [`Engine::resident_loads_mut`] and [`Engine::resident_touch`]
+    /// instead.
     pub fn resident_apply(&mut self, deltas: &[(u32, P::Load)]) {
         let st = self.resident.as_mut().expect("no resident session active");
         for &(v, value) in deltas {
@@ -3277,6 +3308,38 @@ impl<P: Protocol> Engine<P> {
             .mirror
     }
 
+    /// The session's current loads without a sync: `Some` while the
+    /// mirror is fresh (after a collecting round or a sync, before the
+    /// next steady round), `None` when only the workers hold the truth.
+    pub fn resident_mirror(&self) -> Option<&[P::Load]> {
+        let st = self.resident.as_ref().expect("no resident session active");
+        st.fresh.then_some(st.mirror.as_slice())
+    }
+
+    /// The session's current loads for editing in place (syncing first
+    /// if needed). Edits reach the workers only for the nodes then named
+    /// to [`Engine::resident_touch`] before the next round.
+    pub fn resident_loads_mut(&mut self) -> &mut [P::Load] {
+        self.resident_sync();
+        &mut self
+            .resident
+            .as_mut()
+            .expect("no resident session active")
+            .mirror
+    }
+
+    /// Queues the current mirror value of each listed node as a delta
+    /// for the next resident round — the partner of
+    /// [`Engine::resident_loads_mut`]. Listing a node that did not change
+    /// is harmless (the assignment is idempotent) but costs traffic.
+    pub fn resident_touch(&mut self, nodes: impl IntoIterator<Item = u32>) {
+        let st = self.resident.as_mut().expect("no resident session active");
+        assert!(st.fresh, "resident_touch needs a fresh mirror");
+        let mirror = &st.mirror;
+        st.pending
+            .extend(nodes.into_iter().map(|v| (v, mirror[v as usize])));
+    }
+
     /// Closes the session and returns the final loads (collected from
     /// the workers if needed). The engine is a plain message-backend
     /// engine again: [`Engine::round`] works, with any vector.
@@ -3300,14 +3363,36 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
+    /// Executes one resident round and leaves the mirror fresh, as
+    /// [`Engine::round_resident`] followed by [`Engine::resident_sync`]
+    /// would, but without the separate collect barrier: the workers
+    /// return their new loads inside the round reply. For callers that
+    /// read the loads after every round (the scenario runner's Φ and
+    /// summary sweep); panics on worker failure.
+    pub fn round_resident_synced(&mut self) -> Option<P::Stats> {
+        match self.run_resident_round(true) {
+            Ok(stats) => stats,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
     /// Executes one resident round, returning a typed [`EngineError`]
     /// instead of panicking when a worker's kernel fails. On `Err` the
-    /// workers' frames still hold the round-start values (the scatter
-    /// never ran), the session stays open, and the round counter does
-    /// not advance; as with [`Engine::try_round`],
+    /// failed shards' frames still hold their round-start values (their
+    /// scatter never ran) while the other shards have advanced; the
+    /// mirror follows the frames on collecting rounds and is marked
+    /// stale otherwise, so a later sync reads what the workers hold. The
+    /// session stays open and the round counter does not advance; as
+    /// with [`Engine::try_round`],
     /// [`Protocol::begin_round`] has already consumed the failed
     /// round's graph.
     pub fn try_round_resident(&mut self) -> Result<Option<P::Stats>, EngineError> {
+        self.run_resident_round(false)
+    }
+
+    /// One resident round; `read` asks for the new loads in the round
+    /// reply so the mirror ends fresh.
+    fn run_resident_round(&mut self, read: bool) -> Result<Option<P::Stats>, EngineError> {
         assert!(
             self.faults.is_none(),
             "resident rounds are incompatible with an armed FaultPlan \
@@ -3322,9 +3407,12 @@ impl<P: Protocol> Engine<P> {
         let level = self.stats_mode.level_for(round_no);
         // The collect gate: stats rounds need the snapshot/new pair on
         // the coordinator; load-reading hooks need a fresh mirror every
-        // round. Everything else stays worker-resident.
+        // round; a reading caller needs the new loads. Everything else
+        // stays worker-resident.
         let collect = if hooks || level.is_some() {
             CollectMode::Both
+        } else if read {
+            CollectMode::New
         } else {
             CollectMode::None
         };
@@ -3381,6 +3469,9 @@ impl<P: Protocol> Engine<P> {
             )
         };
         if let Err(shard) = outcome {
+            if collect == CollectMode::None {
+                st.fresh = false;
+            }
             self.resident = Some(st);
             return Err(EngineError {
                 shard,
@@ -3388,12 +3479,13 @@ impl<P: Protocol> Engine<P> {
                 phase: EnginePhase::Exchange,
             });
         }
-        st.fresh = collect == CollectMode::Both;
+        st.fresh = collect != CollectMode::None;
         self.rounds_run += 1;
-        // On collect rounds `back` holds the round-start snapshot and
-        // the mirror holds the new loads — exactly the legacy swap
-        // shape. On steady rounds both are stale, and the collect gate
-        // guarantees the hooks never read them.
+        // On `Both` rounds `back` holds the round-start snapshot and the
+        // mirror holds the new loads — exactly the legacy swap shape. On
+        // `New` rounds only the mirror is current, on steady rounds
+        // neither; the collect gate guarantees the hooks and stats never
+        // read a stale side.
         self.protocol.finish_round(&self.back, &st.mirror);
         let stats = level.map(|lvl| {
             let t0 = self.telemetry.start();
@@ -3609,6 +3701,81 @@ where
 mod tests {
     use super::*;
     use crate::faults::FaultEvent;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    /// Every pooled buffer that had to allocate: the allocating thread
+    /// and the capacity it asked for.
+    static FRESH_BUFFERS: Mutex<Vec<(ThreadId, usize)>> = Mutex::new(Vec::new());
+
+    pub(super) fn count_fresh_buffer(need: usize) {
+        let me = std::thread::current().id();
+        FRESH_BUFFERS.lock().unwrap().push((me, need));
+    }
+
+    /// Owned-sized buffers the engine's shard workers allocated so far.
+    /// Halo-sized ones are left out: which small peer buffer a worker
+    /// keeps depends on the order batches arrive in.
+    fn worker_fresh_buffers<P: Protocol>(engine: &Engine<P>) -> usize {
+        let Exec::Message { exec, .. } = &engine.exec else {
+            panic!("message engine expected");
+        };
+        let ids: Vec<ThreadId> = exec.handles.iter().map(|h| h.thread().id()).collect();
+        let owned = exec.plans.current().views().iter().map(|v| v.owned().len());
+        let smallest_owned = owned.min().expect("at least one shard");
+        FRESH_BUFFERS
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|&&(id, need)| ids.contains(&id) && need >= smallest_owned)
+            .count()
+    }
+
+    #[test]
+    fn steady_resident_rounds_allocate_no_worker_buffers() {
+        let g = dlb_graphs::topology::torus2d(64, 64);
+        let loads: Vec<f64> = (0..g.n()).map(|v| (v % 97) as f64).collect();
+        let steady = |engine: &mut Engine<_>, round: &dyn Fn(&mut Engine<_>)| {
+            for _ in 0..3 {
+                round(engine);
+            }
+            let before = worker_fresh_buffers(engine);
+            for _ in 0..8 {
+                round(engine);
+            }
+            worker_fresh_buffers(engine) - before
+        };
+        // Two shards swap one halo batch each; six post several, which
+        // must not take the owned-sized buffers results need.
+        for shards in [2, 6] {
+            let mut engine = Engine::message_resident(
+                crate::continuous::ContinuousDiffusion::new(&g),
+                PartitionSpec::Bfs { shards },
+            )
+            .with_stats_mode(StatsMode::Off);
+            engine.resident_begin(&loads);
+            let quiet = steady(&mut engine, &|e| {
+                e.round_resident();
+            });
+            assert_eq!(quiet, 0, "{shards} shards: read-free rounds allocated");
+            // The collect replies' buffers ride back on the next command.
+            let after_collect = steady(&mut engine, &|e| {
+                e.resident_loads();
+                e.round_resident();
+                e.round_resident();
+            });
+            assert_eq!(
+                after_collect, 0,
+                "{shards} shards: rounds after a collect allocated"
+            );
+            // Rounds that bring the new loads back in their reply.
+            let synced = steady(&mut engine, &|e| {
+                e.round_resident_synced();
+            });
+            assert_eq!(synced, 0, "{shards} shards: synced rounds allocated");
+            engine.resident_end();
+        }
+    }
 
     /// Toy protocol: every node averages with its ring neighbours' parity
     /// sign — enough structure to detect chunking bugs.

@@ -62,5 +62,5 @@ pub use scenario::{
 };
 pub use workload::{
     zipf_weights, Arrivals, Compose, Drain, DrainModel, Placement, RatePattern, ScenarioLoad,
-    Workload, WorkloadCtx, WorkloadDelta,
+    Touched, Workload, WorkloadCtx, WorkloadDelta,
 };

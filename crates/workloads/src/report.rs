@@ -74,11 +74,13 @@ pub struct CommTotals {
     /// rounds ship only the seed round plus per-round deltas).
     pub owned_values_in: u64,
     /// Owned load values workers shipped *back* to the coordinator
-    /// (results and round-start snapshots; zero on resident rounds that
-    /// skip the collect phase).
+    /// (results and round-start snapshots: `n` per resident scenario
+    /// round, `2n` on its stats rounds).
     pub owned_values_out: u64,
     /// Workload delta values routed to their owner shards (resident
-    /// rounds only).
+    /// rounds only): the nodes each workload application reported as
+    /// touched, except on the seeding round, which ships every owned
+    /// value instead.
     pub delta_values: u64,
     /// Framed `dlb-wire/1` bytes the coordinator actually wrote to worker
     /// sockets over the whole run (process backend only; includes frame
@@ -87,8 +89,9 @@ pub struct CommTotals {
     /// Framed `dlb-wire/1` bytes the coordinator read back from worker
     /// sockets over the whole run (process backend only).
     pub wire_bytes_in: u64,
-    /// Collect phases executed (resident sessions only: stats-on rounds,
-    /// load reads, and run end).
+    /// Collect phases executed (resident sessions only). A scenario run
+    /// reads the loads after every round, so it collects once per round,
+    /// inside the round reply.
     pub collects: u64,
 }
 

@@ -20,6 +20,17 @@
 //! applied by one thread and are seeded-deterministic, extending the
 //! workspace's serial ≡ parallel invariant to online scenarios.
 //!
+//! A shard-resident message engine runs the same loop over its session
+//! mirror instead of the caller's vector: the workload edits the mirror
+//! in place, only the nodes its [`WorkloadDelta::touched`] report names
+//! travel to their owner shards, and each round's reply carries the new
+//! loads back so Φ and the summary sweep read the mirror. That one
+//! collect per round stays because Φ's blocks and the summary's single
+//! in-order total chain straddle shard boundaries, and moving either
+//! would change output bits. The caller's vector gets the final loads
+//! once, at session end.
+//!
+//! [`WorkloadDelta::touched`]: crate::workload::WorkloadDelta::touched
 //! [`StatsMode`]: dlb_core::engine::StatsMode
 
 use std::collections::VecDeque;
@@ -30,7 +41,7 @@ use crate::report::{
 use crate::scenario::{
     compile_workloads, exec_from_threads, validate_exec, ExecSpec, ProtocolSpec, Scenario, StopSpec,
 };
-use crate::workload::{ScenarioLoad, Workload, WorkloadCtx};
+use crate::workload::{ScenarioLoad, Touched, Workload, WorkloadCtx};
 use dlb_core::continuous::ContinuousDiffusion;
 use dlb_core::discrete::DiscreteDiffusion;
 use dlb_core::engine::{Engine, LoadPotential, Protocol, StatsMode};
@@ -154,8 +165,8 @@ where
     // Arc increment when armed — either way the round loop borrows freely.
     let tel = engine.telemetry().clone();
     // Shard-resident driving: workers keep their owned loads across
-    // rounds, the coordinator routes workload deltas by owner and reads
-    // loads back through the session's collect/sync phase. Fault-armed
+    // rounds, the coordinator routes the workload's touched nodes by
+    // owner and reads the new loads back in each round's reply. Fault-armed
     // engines stay on the snapshot-based supervised path — recovery
     // re-seeds workers from the coordinator's round-start snapshot,
     // which a resident session by design does not hold.
@@ -163,16 +174,17 @@ where
         engine.backend(),
         dlb_core::engine::Backend::Message { resident: true, .. }
     ) && engine.faults().is_none();
-    if resident {
-        engine.resident_begin(loads);
-    }
-    let mut prev_loads: Vec<P::Load> = Vec::new();
-    let mut deltas: Vec<(u32, P::Load)> = Vec::new();
     let ctx = WorkloadCtx {
         initial_total: summary(loads).total,
     };
     let initial_total = ctx.initial_total;
     let phi0 = engine.potential(loads).phi_f64();
+    let n = loads.len() as u32;
+    if resident {
+        // The session mirror is the run's load vector from here on; the
+        // caller's vector is released and gets the final loads back.
+        engine.resident_begin(&std::mem::take(loads));
+    }
     let max_rounds = stop.max_rounds();
     let band_window = match *stop {
         StopSpec::SteadyState { window, .. } => window,
@@ -192,19 +204,14 @@ where
             Some(w) => {
                 let t0 = tel.start();
                 let delta = if resident {
-                    // Diff the in-place mutation into sparse per-node
-                    // deltas the session routes to their owner shards —
-                    // the workers' frames stay authoritative, the
-                    // coordinator never resends whole owned slices.
-                    prev_loads.clone_from(loads);
-                    let delta = w.apply(round, loads, &ctx);
-                    deltas.clear();
-                    for (i, (before, after)) in prev_loads.iter().zip(loads.iter()).enumerate() {
-                        if before != after {
-                            deltas.push((i as u32, *after));
-                        }
+                    // Edit the session mirror in place, then route only
+                    // the nodes the workload reports to their owners.
+                    let delta = w.apply(round, engine.resident_loads_mut(), &ctx);
+                    match &delta.touched {
+                        Touched::None => {}
+                        Touched::Nodes(nodes) => engine.resident_touch(nodes.iter().copied()),
+                        Touched::All => engine.resident_touch(0..n),
                     }
-                    engine.resident_apply(&deltas);
                     delta
                 } else {
                     w.apply(round, loads, &ctx)
@@ -214,13 +221,11 @@ where
             }
             None => Default::default(),
         };
+        // The record reads the post-round loads (imbalance, totals, Φ on
+        // stats-off rounds), so resident rounds bring them back inside
+        // the round reply.
         let stats = if resident {
-            let stats = engine.round_resident();
-            // The record needs the post-round loads (imbalance, totals, Φ
-            // on stats-off rounds): sync the mirror — one collect on
-            // rounds whose stats level didn't already refresh it.
-            loads.copy_from_slice(engine.resident_loads());
-            stats
+            engine.round_resident_synced()
         } else {
             engine.round(loads)
         };
@@ -242,11 +247,18 @@ where
         // The runner's own bookkeeping: Φ when the round computed no
         // stats, then one sweep for the total and the extremes.
         let t0 = tel.start();
+        let current: &[P::Load] = if resident {
+            engine
+                .resident_mirror()
+                .expect("a synced resident round leaves the mirror fresh")
+        } else {
+            loads
+        };
         let (phi, moved) = match &stats {
             Some(s) => (s.phi_after_f64(), s.moved_f64()),
-            None => (engine.potential(loads).phi_f64(), 0.0),
+            None => (engine.potential(current).phi_f64(), 0.0),
         };
-        let sweep = summary(loads);
+        let sweep = summary(current);
         tel.record(ENGINE_LANE, round, SpanPhase::Stats, t0);
         injected_total += delta.injected;
         consumed_total += delta.consumed;
@@ -282,10 +294,11 @@ where
     }
 
     if resident {
-        // End the session: the final sync is a no-op (the record loop
-        // left the mirror fresh) and the engine returns to snapshot-mode
-        // rounds for any caller reusing it.
-        engine.resident_end();
+        // End the session: the final sync is a no-op (every round left
+        // the mirror fresh), the caller's vector takes the mirror, and
+        // the engine returns to snapshot-mode rounds for any caller
+        // reusing it.
+        *loads = engine.resident_end();
     }
     let final_total = records.last().map_or(initial_total, |r| r.total);
     // An engine armed with a fault plan (even an empty one) reports its
@@ -985,6 +998,75 @@ mod tests {
         let header = msg.to_jsonl();
         let header = header.lines().next().unwrap();
         assert!(header.contains("\"telemetry_spans\""), "{header}");
+    }
+
+    /// Drives a 16×16 torus under random-node arrivals on `engine` from
+    /// a fixed start; returns the report and the final loads.
+    fn random_node_run(
+        engine: &mut Engine<ContinuousDiffusion<'_>>,
+        rounds: usize,
+    ) -> (ScenarioReport, Vec<f64>) {
+        let mut loads: Vec<f64> = (0..256).map(|v| ((v * 37) % 101) as f64).collect();
+        let mut workload = crate::workload::Arrivals::new(
+            crate::workload::RatePattern::Constant { per_round: 64.0 },
+            crate::workload::Placement::RandomNode(StdRng::seed_from_u64(9)),
+        );
+        let report = run_driven(
+            engine,
+            &mut loads,
+            Some(&mut workload),
+            &StopSpec::Rounds { rounds },
+            "random-node",
+        );
+        (report, loads)
+    }
+
+    #[test]
+    fn sparse_resident_run_matches_serial_and_routes_one_delta_per_round() {
+        let g = dlb_graphs::topology::torus2d(16, 16);
+        let n = 256u64;
+        let rounds = 40usize;
+        let (serial, serial_loads) = random_node_run(
+            &mut Engine::serial(ContinuousDiffusion::new(&g)).with_stats_mode(StatsMode::Off),
+            rounds,
+        );
+        let resident_engine = |stats| {
+            Engine::message_resident(
+                ContinuousDiffusion::new(&g),
+                dlb_graphs::PartitionSpec::Bfs { shards: 4 },
+            )
+            .with_stats_mode(stats)
+        };
+        let (res, res_loads) = random_node_run(&mut resident_engine(StatsMode::Off), rounds);
+        assert!(res.resident);
+        assert_eq!(trace_bits(&serial), trace_bits(&res), "Φ trace diverged");
+        assert_eq!(serial.records, res.records, "records diverged");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&serial_loads),
+            bits(&res_loads),
+            "final loads diverged"
+        );
+        // One collect per round (inside the round reply), ownership
+        // shipped once, and one routed delta per round after the seed.
+        let comm = res.comm.expect("message run reports comm totals");
+        let r = rounds as u64;
+        assert_eq!(comm.collects, r);
+        assert_eq!(comm.owned_values_in, n);
+        assert_eq!(comm.owned_values_out, n * r);
+        assert_eq!(comm.delta_values, r - 1);
+
+        // EveryK: stats rounds still ship both sides of the swap (2n),
+        // every other round only the new loads (n).
+        let (every, every_loads) =
+            random_node_run(&mut resident_engine(StatsMode::EveryK(4)), rounds);
+        assert_eq!(trace_bits(&serial), trace_bits(&every));
+        assert_eq!(bits(&serial_loads), bits(&every_loads));
+        let comm = every.comm.expect("message run reports comm totals");
+        let stats_rounds = r / 4;
+        assert_eq!(comm.collects, r);
+        assert_eq!(comm.owned_values_out, n * r + n * stats_rounds);
+        assert_eq!(comm.delta_values, r - 1);
     }
 
     #[test]

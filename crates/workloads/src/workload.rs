@@ -34,32 +34,73 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Totals moved in and out of the system by one workload application.
+/// Totals moved in and out of the system by one workload application,
+/// and which nodes it wrote.
 ///
 /// Values are reported in load units as `f64`; for token workloads they
 /// are exact integers (tokens fit comfortably in the `f64` mantissa), so
 /// the conservation identity `Δtotal ≡ injected − consumed` holds exactly
 /// for the discrete model and to rounding error for the continuous one.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkloadDelta {
     /// Load injected into the system this application.
     pub injected: f64,
     /// Load consumed (serviced) out of the system this application.
     pub consumed: f64,
+    /// The nodes this application may have written. A shard-resident run
+    /// ships exactly these nodes' new values to their owners, so the
+    /// report must cover every node `apply` changed; naming a node it
+    /// left alone only costs traffic. Defaults to [`Touched::All`], which
+    /// is always correct.
+    pub touched: Touched,
 }
 
 impl WorkloadDelta {
-    /// Componentwise sum, used by [`Compose`] and per-run accumulation.
+    /// Componentwise sum with the union of the touched sets, used by
+    /// [`Compose`] and per-run accumulation.
     pub fn merge(self, other: WorkloadDelta) -> WorkloadDelta {
         WorkloadDelta {
             injected: self.injected + other.injected,
             consumed: self.consumed + other.consumed,
+            touched: self.touched.union(other.touched),
         }
     }
 
     /// Net change `injected − consumed`.
-    pub fn net(self) -> f64 {
+    pub fn net(&self) -> f64 {
         self.injected - self.consumed
+    }
+}
+
+/// Which nodes one workload application wrote (see
+/// [`WorkloadDelta::touched`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum Touched {
+    /// No node.
+    None,
+    /// These nodes (a short list; duplicates are allowed but wasteful).
+    Nodes(Vec<u32>),
+    /// Possibly every node.
+    #[default]
+    All,
+}
+
+impl Touched {
+    /// The set union. `All` absorbs everything; node lists concatenate
+    /// without repeating a node.
+    pub fn union(self, other: Touched) -> Touched {
+        match (self, other) {
+            (Touched::All, _) | (_, Touched::All) => Touched::All,
+            (Touched::None, t) | (t, Touched::None) => t,
+            (Touched::Nodes(mut a), Touched::Nodes(b)) => {
+                for v in b {
+                    if !a.contains(&v) {
+                        a.push(v);
+                    }
+                }
+                Touched::Nodes(a)
+            }
+        }
     }
 }
 
@@ -164,7 +205,9 @@ pub trait Workload<L: ScenarioLoad> {
     fn name(&self) -> &str;
 
     /// Applies the round's arrivals/consumption to `loads` (rounds count
-    /// from 1, matching the drivers) and returns the totals moved.
+    /// from 1, matching the drivers) and returns the totals moved and the
+    /// nodes written ([`WorkloadDelta::touched`] must cover every node
+    /// whose value changed).
     fn apply(&mut self, round: u64, loads: &mut [L], ctx: &WorkloadCtx) -> WorkloadDelta;
 }
 
@@ -380,34 +423,40 @@ impl<L: ScenarioLoad> Workload<L> for Arrivals {
             *slot = slot.add(q);
             injected += q.to_f64();
         };
-        match &mut self.placement {
+        let touched = match &mut self.placement {
             Placement::Uniform => {
                 let per = total / n as f64;
                 for slot in loads.iter_mut() {
                     give(slot, per, &mut self.carry);
                 }
+                Touched::All
             }
             Placement::Weighted(weights) => {
                 debug_assert_eq!(weights.len(), n, "one weight per node");
                 for (slot, &w) in loads.iter_mut().zip(weights.iter()) {
                     give(slot, w * total, &mut self.carry);
                 }
+                Touched::All
             }
             Placement::Hotspot(node) => {
                 give(&mut loads[*node as usize], total, &mut self.carry);
+                Touched::Nodes(vec![*node])
             }
             Placement::MaxLoaded => {
                 let v = argmax(loads);
                 give(&mut loads[v], total, &mut self.carry);
+                Touched::Nodes(vec![v as u32])
             }
             Placement::RandomNode(rng) => {
                 let v = rng.gen_range(0..n);
                 give(&mut loads[v], total, &mut self.carry);
+                Touched::Nodes(vec![v as u32])
             }
-        }
+        };
         WorkloadDelta {
             injected,
             consumed: 0.0,
+            touched,
         }
     }
 }
@@ -488,13 +537,14 @@ impl<L: ScenarioLoad> Workload<L> for Drain {
         WorkloadDelta {
             injected: 0.0,
             consumed,
+            touched: Touched::All,
         }
     }
 }
 
 /// Chains several workloads into one, applied in order (arrivals before
 /// drains is the conventional order; the combinator preserves whatever
-/// order it is given). Deltas are summed.
+/// order it is given). Deltas are summed and touched sets united.
 pub struct Compose<L: ScenarioLoad> {
     parts: Vec<Box<dyn Workload<L>>>,
     name: String,
@@ -531,7 +581,10 @@ impl<L: ScenarioLoad> Workload<L> for Compose<L> {
     }
 
     fn apply(&mut self, round: u64, loads: &mut [L], ctx: &WorkloadCtx) -> WorkloadDelta {
-        let mut delta = WorkloadDelta::default();
+        let mut delta = WorkloadDelta {
+            touched: Touched::None,
+            ..WorkloadDelta::default()
+        };
         for part in &mut self.parts {
             delta = delta.merge(part.apply(round, loads, ctx));
         }

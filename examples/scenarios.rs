@@ -25,9 +25,10 @@
 //! * `--transport <unix|tcp>` — process-backend byte transport (implies
 //!   `--backend process`; default `unix`);
 //! * `--resident` — message-backend shard-resident rounds: workers keep
-//!   their owned loads across rounds and the coordinator collects them
-//!   only on stats/read rounds (implies `--backend message`; rejected
-//!   with `--faults`, which needs the snapshot-based supervised path);
+//!   their owned loads across rounds, the coordinator ships them only
+//!   the nodes the workload touched and reads the new loads from each
+//!   round's reply (implies `--backend message`; rejected with
+//!   `--faults`, which needs the snapshot-based supervised path);
 //! * `--faults <spec>` — inject deterministic faults, overriding any
 //!   `[faults]` section: a comma list like
 //!   `"every=40,down=5,seed=7,panic,drop,delay=3"` (bare words enable
