@@ -1849,13 +1849,11 @@ struct MessageExec<L> {
     /// routing. `None` until the session's first round (and after any
     /// [`Engine::resident_end`]).
     seeded: Option<ResidentSeed>,
-    /// Coordinator-side buffer free list, fed by consumed legacy report
-    /// vectors; drawn on for owned dispatch slices.
-    free: Vec<Vec<L>>,
-    /// Per shard, the buffers its resident reports and collect replies
-    /// carried here, riding back to that same worker on its next round
-    /// command — each worker gets its own owned-sized buffers back, so
-    /// its steady-state rounds never allocate.
+    /// Per shard, the buffers its reports and collect replies carried
+    /// here: a dispatch that ships owned values (legacy rounds, resident
+    /// seeds) draws its slice from them, and the rest ride back to that
+    /// same worker on its next round command — each worker gets its own
+    /// owned-sized buffers back, so steady-state rounds never allocate.
     returns: Vec<Vec<Vec<L>>>,
 }
 
@@ -1920,7 +1918,6 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
             round_seq: 0,
             resident_backend,
             seeded: None,
-            free: Vec::new(),
             returns: (0..shards).map(|_| Vec::new()).collect(),
         }
     }
@@ -2020,7 +2017,7 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
                 self.respawn(s, &plan);
                 fault_stats.recoveries += 1;
             }
-            let mut owned = pooled(&mut self.free, plan.views()[s].owned().len());
+            let mut owned = pooled(&mut self.returns[s], plan.views()[s].owned().len());
             owned.extend(
                 plan.views()[s]
                     .owned()
@@ -2186,10 +2183,10 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
         }
 
         // Gather half of the scatter: fold the per-shard results back
-        // into the global vector. The spent report buffers feed the
-        // coordinator's free list for the next round's owned dispatch.
+        // into the global vector. Each spent report buffer carries the
+        // next round's owned slice back to its shard.
         let t_scatter = tel.start();
-        for (view, shard_results) in plan.views().iter().zip(results) {
+        for (s, (view, shard_results)) in plan.views().iter().zip(results).enumerate() {
             let shard_results = shard_results.expect("every shard reported");
             // Results arrive in the shard's gather order:
             // interior-then-boundary.
@@ -2198,7 +2195,7 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
             for (&v, &value) in order.zip(shard_results.iter()) {
                 out[v as usize] = value;
             }
-            recycle_into(&mut self.free, shard_results);
+            recycle_into(&mut self.returns[s], shard_results);
         }
         tel.record(ENGINE_LANE, round_no, SpanPhase::ScatterOwned, t_scatter);
         Ok(())
@@ -2276,12 +2273,7 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
                 // (its last session's results), so every session does
                 // not add an owned-sized buffer to the worker's pool.
                 let view = &plan.views()[s];
-                let source = if self.returns[s].is_empty() {
-                    &mut self.free
-                } else {
-                    &mut self.returns[s]
-                };
-                let mut owned = pooled(source, view.owned().len());
+                let mut owned = pooled(&mut self.returns[s], view.owned().len());
                 owned.extend(view.owned().iter().map(|&v| mirror[v as usize]));
                 comm.owned_values_in += owned.len();
                 OwnedIn::Values(owned)
@@ -3205,29 +3197,36 @@ impl<P: Protocol> Engine<P> {
     /// shard workers take persistent ownership of their load slices, and
     /// subsequent [`Engine::round_resident`] calls ship only a compact
     /// command (plus any workload deltas queued through
-    /// [`Engine::resident_apply`] or [`Engine::resident_touch`]) instead
-    /// of copying all `n` owned values in and out every round. Owned
-    /// values travel back only when something needs them — a stats-on
-    /// round per the [`StatsMode`], a protocol whose hooks read loads
-    /// ([`Protocol::hooks_read_loads`]), a caller that reads the loads
-    /// after every round ([`Engine::round_resident_synced`] brings them
-    /// back inside the round reply), an explicit
-    /// [`Engine::resident_sync`] / [`Engine::resident_loads`] read, or
-    /// [`Engine::resident_end`] — so steady-state rounds move halo-sized,
-    /// not `n`-sized, traffic. Loads and statistics stay
-    /// bit-identical to [`Engine::round`] on every mode: the same kernel
-    /// runs per node from the same frame values, and collect rounds
-    /// reassemble the exact snapshot/new-loads pair the legacy swap
-    /// produces.
+    /// [`Engine::resident_touch`]) instead of copying all `n` owned
+    /// values in and out every round. Owned values travel back only when
+    /// something needs them — a stats-on round per the [`StatsMode`], a
+    /// protocol whose hooks read loads ([`Protocol::hooks_read_loads`]),
+    /// a caller that reads the loads after every round
+    /// ([`Engine::round_resident_synced`] brings them back inside the
+    /// round reply), an explicit [`Engine::resident_sync`] (before a
+    /// [`Engine::resident_loads`] read), or [`Engine::resident_end`] — so
+    /// steady-state rounds move halo-sized, not `n`-sized, traffic. Loads
+    /// and statistics stay bit-identical to [`Engine::round`] on every
+    /// mode: the same kernel runs per node from the same frame values,
+    /// and collect rounds reassemble the exact snapshot/new-loads pair
+    /// the legacy swap produces.
     ///
-    /// `loads` seeds the session; the workers receive it on the first
-    /// resident round (plans resolve lazily against that round's graph).
-    /// While a session is active [`Engine::round`] panics — the caller's
-    /// vector would be stale by construction. Incompatible with an armed
-    /// [`FaultPlan`]: supervised recovery re-homes shards from the
-    /// coordinator's round-start snapshot, which resident rounds
-    /// deliberately no longer hold.
+    /// `loads` seeds the session (copied into the session mirror; see
+    /// [`Engine::resident_begin_owned`] to hand the vector over instead);
+    /// the workers receive it on the first resident round (plans resolve
+    /// lazily against that round's graph). While a session is active
+    /// [`Engine::round`] panics — the caller's vector would be stale by
+    /// construction. Incompatible with an armed [`FaultPlan`]: supervised
+    /// recovery re-homes shards from the coordinator's round-start
+    /// snapshot, which resident rounds deliberately no longer hold.
     pub fn resident_begin(&mut self, loads: &[P::Load]) {
+        self.resident_begin_owned(loads.to_vec());
+    }
+
+    /// [`Engine::resident_begin`] taking the load vector by value: it
+    /// becomes the session mirror without a copy, and
+    /// [`Engine::resident_end`] hands it back holding the final loads.
+    pub fn resident_begin_owned(&mut self, loads: Vec<P::Load>) {
         assert!(
             matches!(self.exec, Exec::Message { .. }),
             "resident sessions need the message backend"
@@ -3249,7 +3248,7 @@ impl<P: Protocol> Engine<P> {
             exec.seeded = None; // force a seed on the first round
         }
         self.resident = Some(ResidentSession {
-            mirror: loads.to_vec(),
+            mirror: loads,
             fresh: true,
             pending: Vec::new(),
         });
@@ -3258,25 +3257,6 @@ impl<P: Protocol> Engine<P> {
     /// Whether a resident session is active.
     pub fn resident_active(&self) -> bool {
         self.resident.is_some()
-    }
-
-    /// Queues workload deltas — `(node, new value)` assignments to the
-    /// *round-start* loads of the next resident round. They are routed
-    /// to the owning workers with the next round command (the
-    /// delta-sized replacement for rewriting all owned values), exactly
-    /// as if the caller had mutated the load vector before a legacy
-    /// round. A caller that edits the loads in place uses
-    /// [`Engine::resident_loads_mut`] and [`Engine::resident_touch`]
-    /// instead.
-    pub fn resident_apply(&mut self, deltas: &[(u32, P::Load)]) {
-        let st = self.resident.as_mut().expect("no resident session active");
-        for &(v, value) in deltas {
-            assert!((v as usize) < st.mirror.len(), "delta node out of range");
-            if st.fresh {
-                st.mirror[v as usize] = value;
-            }
-            st.pending.push((v, value));
-        }
     }
 
     /// Brings the session mirror up to date: collects the workers'
@@ -3298,22 +3278,16 @@ impl<P: Protocol> Engine<P> {
         st.fresh = true;
     }
 
-    /// The session's current loads (syncing first if needed).
-    pub fn resident_loads(&mut self) -> &[P::Load] {
-        self.resident_sync();
-        &self
-            .resident
-            .as_ref()
-            .expect("no resident session active")
-            .mirror
-    }
-
-    /// The session's current loads without a sync: `Some` while the
-    /// mirror is fresh (after a collecting round or a sync, before the
-    /// next steady round), `None` when only the workers hold the truth.
-    pub fn resident_mirror(&self) -> Option<&[P::Load]> {
+    /// The session's current loads, as of the last collecting round or
+    /// [`Engine::resident_sync`]. Panics when a read-free round ran since
+    /// (only the workers hold the truth then): sync first.
+    pub fn resident_loads(&self) -> &[P::Load] {
         let st = self.resident.as_ref().expect("no resident session active");
-        st.fresh.then_some(st.mirror.as_slice())
+        assert!(
+            st.fresh,
+            "resident mirror is stale (call resident_sync first)"
+        );
+        &st.mirror
     }
 
     /// The session's current loads for editing in place (syncing first
@@ -3713,14 +3687,16 @@ mod tests {
         FRESH_BUFFERS.lock().unwrap().push((me, need));
     }
 
-    /// Owned-sized buffers the engine's shard workers allocated so far.
-    /// Halo-sized ones are left out: which small peer buffer a worker
-    /// keeps depends on the order batches arrive in.
-    fn worker_fresh_buffers<P: Protocol>(engine: &Engine<P>) -> usize {
+    /// Owned-sized buffers the engine's shard workers and its
+    /// coordinator (this thread) allocated so far. Halo-sized ones are
+    /// left out: which small peer buffer a worker keeps depends on the
+    /// order batches arrive in.
+    fn fresh_buffers<P: Protocol>(engine: &Engine<P>) -> usize {
         let Exec::Message { exec, .. } = &engine.exec else {
             panic!("message engine expected");
         };
-        let ids: Vec<ThreadId> = exec.handles.iter().map(|h| h.thread().id()).collect();
+        let mut ids: Vec<ThreadId> = exec.handles.iter().map(|h| h.thread().id()).collect();
+        ids.push(std::thread::current().id());
         let owned = exec.plans.current().views().iter().map(|v| v.owned().len());
         let smallest_owned = owned.min().expect("at least one shard");
         FRESH_BUFFERS
@@ -3732,18 +3708,18 @@ mod tests {
     }
 
     #[test]
-    fn steady_resident_rounds_allocate_no_worker_buffers() {
+    fn steady_message_rounds_allocate_no_owned_buffers() {
         let g = dlb_graphs::topology::torus2d(64, 64);
         let loads: Vec<f64> = (0..g.n()).map(|v| (v % 97) as f64).collect();
         let steady = |engine: &mut Engine<_>, round: &dyn Fn(&mut Engine<_>)| {
             for _ in 0..3 {
                 round(engine);
             }
-            let before = worker_fresh_buffers(engine);
+            let before = fresh_buffers(engine);
             for _ in 0..8 {
                 round(engine);
             }
-            worker_fresh_buffers(engine) - before
+            fresh_buffers(engine) - before
         };
         // Two shards swap one halo batch each; six post several, which
         // must not take the owned-sized buffers results need.
@@ -3760,7 +3736,7 @@ mod tests {
             assert_eq!(quiet, 0, "{shards} shards: read-free rounds allocated");
             // The collect replies' buffers ride back on the next command.
             let after_collect = steady(&mut engine, &|e| {
-                e.resident_loads();
+                e.resident_sync();
                 e.round_resident();
                 e.round_resident();
             });
@@ -3773,7 +3749,16 @@ mod tests {
                 e.round_resident_synced();
             });
             assert_eq!(synced, 0, "{shards} shards: synced rounds allocated");
-            engine.resident_end();
+            // Legacy rounds after the session: each shard's results
+            // buffer carries its next owned slice back.
+            let legacy = std::cell::RefCell::new(engine.resident_end());
+            let snapshot_rounds = steady(&mut engine, &|e| {
+                e.round(&mut legacy.borrow_mut());
+            });
+            assert_eq!(
+                snapshot_rounds, 0,
+                "{shards} shards: legacy rounds allocated"
+            );
         }
     }
 

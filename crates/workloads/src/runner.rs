@@ -148,6 +148,10 @@ fn band_of(recent: &VecDeque<f64>) -> SteadyBand {
 /// (benches, ad-hoc experiments).
 ///
 /// The load vector is left in its final state; `name` labels the report.
+/// On a shard-resident engine the vector moves into the engine's session
+/// for the length of the run and comes back at its end, so it is empty
+/// while the run is in flight (and stays empty if a worker failure
+/// panics the run).
 pub fn run_driven<P>(
     engine: &mut Engine<P>,
     loads: &mut Vec<P::Load>,
@@ -181,9 +185,9 @@ where
     let phi0 = engine.potential(loads).phi_f64();
     let n = loads.len() as u32;
     if resident {
-        // The session mirror is the run's load vector from here on; the
-        // caller's vector is released and gets the final loads back.
-        engine.resident_begin(&std::mem::take(loads));
+        // The session mirror is the run's load vector from here on: the
+        // caller's vector moves in and comes back holding the final loads.
+        engine.resident_begin_owned(std::mem::take(loads));
     }
     let max_rounds = stop.max_rounds();
     let band_window = match *stop {
@@ -208,7 +212,6 @@ where
                     // the nodes the workload reports to their owners.
                     let delta = w.apply(round, engine.resident_loads_mut(), &ctx);
                     match &delta.touched {
-                        Touched::None => {}
                         Touched::Nodes(nodes) => engine.resident_touch(nodes.iter().copied()),
                         Touched::All => engine.resident_touch(0..n),
                     }
@@ -248,9 +251,7 @@ where
         // stats, then one sweep for the total and the extremes.
         let t0 = tel.start();
         let current: &[P::Load] = if resident {
-            engine
-                .resident_mirror()
-                .expect("a synced resident round leaves the mirror fresh")
+            engine.resident_loads()
         } else {
             loads
         };

@@ -76,9 +76,8 @@ impl WorkloadDelta {
 /// [`WorkloadDelta::touched`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum Touched {
-    /// No node.
-    None,
-    /// These nodes (a short list; duplicates are allowed but wasteful).
+    /// These nodes (a short list, possibly empty; a repeated node costs
+    /// one extra routed value).
     Nodes(Vec<u32>),
     /// Possibly every node.
     #[default]
@@ -87,19 +86,14 @@ pub enum Touched {
 
 impl Touched {
     /// The set union. `All` absorbs everything; node lists concatenate
-    /// without repeating a node.
+    /// (routed values are assignments, so a repeat is harmless).
     pub fn union(self, other: Touched) -> Touched {
         match (self, other) {
-            (Touched::All, _) | (_, Touched::All) => Touched::All,
-            (Touched::None, t) | (t, Touched::None) => t,
             (Touched::Nodes(mut a), Touched::Nodes(b)) => {
-                for v in b {
-                    if !a.contains(&v) {
-                        a.push(v);
-                    }
-                }
+                a.extend(b);
                 Touched::Nodes(a)
             }
+            _ => Touched::All,
         }
     }
 }
@@ -424,6 +418,12 @@ impl<L: ScenarioLoad> Workload<L> for Arrivals {
             injected += q.to_f64();
         };
         let touched = match &mut self.placement {
+            // A zero-rate round of a spread placement (the off phase of a
+            // bursty source) writes nothing: adding zero everywhere would
+            // only cost a resident run all n values.
+            Placement::Uniform | Placement::Weighted(_) if total == 0.0 => {
+                Touched::Nodes(Vec::new())
+            }
             Placement::Uniform => {
                 let per = total / n as f64;
                 for slot in loads.iter_mut() {
@@ -582,7 +582,7 @@ impl<L: ScenarioLoad> Workload<L> for Compose<L> {
 
     fn apply(&mut self, round: u64, loads: &mut [L], ctx: &WorkloadCtx) -> WorkloadDelta {
         let mut delta = WorkloadDelta {
-            touched: Touched::None,
+            touched: Touched::Nodes(Vec::new()),
             ..WorkloadDelta::default()
         };
         for part in &mut self.parts {

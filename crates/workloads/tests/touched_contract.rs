@@ -46,6 +46,13 @@ fn patterns(rate: f64) -> Vec<RatePattern> {
             amplitude: 1.5,
             period: 7,
         },
+        // A bursty source with silent off phases.
+        RatePattern::OnOff {
+            high: rate,
+            low: 0.0,
+            on_rounds: 3,
+            off_rounds: 2,
+        },
     ]
 }
 
@@ -103,7 +110,6 @@ fn check_reports<L: Bits>(w: &mut dyn Workload<L>, loads: &mut [L], rounds: u64)
             let reported = match &delta.touched {
                 Touched::All => true,
                 Touched::Nodes(nodes) => nodes.contains(&(v as u32)),
-                Touched::None => false,
             };
             assert!(
                 reported,
@@ -130,7 +136,35 @@ fn sparse_placements_report_only_their_node() {
     let delta = Workload::<f64>::apply(&mut w, 1, &mut loads, &CTX);
     assert_eq!(delta.touched, Touched::Nodes(vec![5]));
     let mut empty: Compose<f64> = Compose::new(Vec::new());
-    assert_eq!(empty.apply(1, &mut loads, &CTX).touched, Touched::None);
+    assert_eq!(
+        empty.apply(1, &mut loads, &CTX).touched,
+        Touched::Nodes(Vec::new())
+    );
+}
+
+#[test]
+fn zero_rate_rounds_of_spread_placements_report_no_node() {
+    for placement in [
+        Placement::Uniform,
+        Placement::Weighted(zipf_weights(8, 1.1, 3)),
+    ] {
+        let mut w = Arrivals::new(
+            RatePattern::OnOff {
+                high: 16.0,
+                low: 0.0,
+                on_rounds: 1,
+                off_rounds: 1,
+            },
+            placement,
+        );
+        let mut loads = vec![1i64; 8];
+        let on = Workload::<i64>::apply(&mut w, 1, &mut loads, &CTX);
+        assert_eq!(on.touched, Touched::All);
+        let before = loads.clone();
+        let off = Workload::<i64>::apply(&mut w, 2, &mut loads, &CTX);
+        assert_eq!(off.touched, Touched::Nodes(Vec::new()));
+        assert_eq!(loads, before);
+    }
 }
 
 proptest! {
